@@ -7,6 +7,16 @@ tracked as classical populations. Radiative decays — allowed and
 cross-relaxation branches — are sampled as stochastic jumps, each
 emitting one cavity photon; photon loss is the detector's business.
 
+A segment propagates on one of three paths (see ``apply_pulse``):
+population mode when no coherence is carried; no-jump maps when the
+noise is static, in closed form for free evolution and from cumulative
+4x4 maps tabulated once per drive for driven segments, both linear on
+the unnormalised state (Dalibard, Castin & Mølmer, PRL 68, 580, 1992);
+and the per-step Bloch loop, which is kept for Ornstein--Uhlenbeck and
+telegraph noise and for drives under a per-shot detuning. The maps draw
+the loop's per-step uniforms and make its comparisons, so the loop is
+their reference in the tests.
+
 Optional noise channels (all off by default): static per-shot detuning
 reproducing an exponential Ramsey envelope, Markovian transverse decay,
 Ornstein--Uhlenbeck drift of the electron frequency, telegraph jumps,
@@ -267,9 +277,8 @@ def calibrated_amplitude(seg: PulseSegment, sys: SpinSystem) -> float:
     The power is referenced to the allowed matrix element, matching a
     calibration done on the strong lines: a carrier sitting on a weak
     (nuclear-flip) line is driven at the element ratio, not boosted to a
-    full rotation. Integrates the envelope on the same step grid
-    ``apply_pulse`` uses, so the calibration is exact for the
-    discretized pulse.
+    full rotation. The area comes from :func:`pulse_area`, so the
+    calibration is exact for the discretized pulse.
     """
     trans = _address(seg, sys)
     allowed = [t.matrix_element for t in sys.transitions if t.is_allowed]
@@ -278,14 +287,33 @@ def calibrated_amplitude(seg: PulseSegment, sys: SpinSystem) -> float:
         sys.cavity, seg.frequency - sys.cavity.omega_0)
     if coupling <= 0:
         raise ValueError(f"transition {trans.label} is not drivable (zero element)")
-    n_steps, dt = _step_grid(seg, sys, None)
-    area = sum(_envelope_samples(seg, n_steps, dt)) * dt
-    return seg.rotation / (coupling * area)
+    return seg.rotation / (coupling * pulse_area(seg, sys))
 
 
-def _step_grid(seg: PulseSegment, sys: SpinSystem, trans: Transition | None):
-    gamma = sys.total_rate(trans.upper) if trans is not None else max(
-        (sys.total_rate(i) for i in range(len(sys.levels))), default=0.0)
+def pulse_area(seg: PulseSegment, sys: SpinSystem) -> float:
+    """Time integral of the envelope (s) on the step grid of ``apply_pulse``."""
+    n_steps, dt = _step_grid(seg, sys)
+    return sum(_envelope_samples(seg, n_steps, dt)) * dt
+
+
+def ac_zeeman_shift(sys: SpinSystem, trans: Transition,
+                    omega_drive: float) -> float:
+    """Drive-induced shift (rad/s) of a forbidden line under drive amplitude
+    ``omega_drive``: the off-resonant allowed transitions push the line
+    while it is driven. Zero for allowed lines, and for systems of more
+    than one nucleus, where the shift is not modelled."""
+    if not trans.nuclear_flips or sys.params.n_nuclei != 1:
+        return 0.0
+    d_d, d_z = ac_zeeman_frequencies(sys.params, omega_drive)
+    d0_d, d0_z = forbidden_frequencies(sys.params)
+    if trans.label.startswith("double_quantum"):
+        return d_d - d0_d
+    return d_z - d0_z
+
+
+def _step_grid(seg: PulseSegment, sys: SpinSystem):
+    gamma = max((sys.total_rate(i) for i in range(len(sys.levels))),
+                default=0.0)
     wall = seg.wall_time
     dt = wall / 100.0
     if gamma > 0:
@@ -310,6 +338,11 @@ def _envelope_samples(seg: PulseSegment, n_steps: int, dt: float):
 
 _WEIGHT_FLOOR = 1e-4
 
+#: Smallest no-jump survival over a driven segment for which the tabulated
+#: maps are used. The restart vectors invert the cumulative map, so their
+#: relative rounding error is about 2e-16 / survival (2e-10 here).
+_MIN_SURVIVAL = 1e-6
+
 
 def _drive_weight(trans: Transition, seg: PulseSegment) -> float:
     """Element-weighted spectral overlap of the carrier with a line."""
@@ -318,31 +351,134 @@ def _drive_weight(trans: Transition, seg: PulseSegment) -> float:
     return trans.matrix_element / (1.0 + (delta / bandwidth) ** 2)
 
 
-class _LevelDrive:
-    """Per-level drive target: the transition a pulse actually works on."""
+class _Decay:
+    """Relaxation out of one level on a plan's step grid.
 
-    __slots__ = ("trans", "pair", "omega_peak", "rates", "dests", "labels",
-                 "photons", "gamma", "p_step", "sqrt_survive", "ac_shift")
+    ``survival[i]``, set for undriven segments, is the no-jump probability
+    of a fully excited level over the first ``i`` steps, q**i with
+    q = 1 - p_step.
+    """
 
-    def __init__(self, trans, amp_filt, omega_peak, sys, noise, dt):
-        self.trans = trans
-        self.pair = (trans.lower, trans.upper)
-        self.omega_peak = omega_peak
-        self.ac_shift = 0.0
-        if trans.nuclear_flips and sys.params.n_nuclei == 1:
-            # a driven forbidden line is pushed by the off-resonant
-            # allowed transitions; shift of the peak-amplitude drive
-            d_d, d_z = ac_zeeman_frequencies(sys.params, amp_filt)
-            d0_d, d0_z = forbidden_frequencies(sys.params)
-            if trans.label.startswith("double_quantum"):
-                self.ac_shift = d_d - d0_d
-            else:
-                self.ac_shift = d_z - d0_z
-        table = _decay_table(sys, trans.upper, noise)
+    __slots__ = ("rates", "dests", "labels", "photons", "gamma", "p_step",
+                 "sqrt_survive", "survival")
+
+    def __init__(self, sys, level, noise, dt):
+        table = _decay_table(sys, level, noise)
         self.rates, self.dests, self.labels, self.photons = table
         self.gamma = sum(self.rates)
         self.p_step = -math.expm1(-self.gamma * dt) if self.gamma > 0 else 0.0
         self.sqrt_survive = math.sqrt(1.0 - self.p_step)
+        self.survival = None
+
+    def jump(self, time, rng, events) -> int:
+        return _sample_jump(self.rates, self.dests, self.labels, self.photons,
+                            time, rng, events)
+
+
+class _LevelDrive:
+    """Per-level drive target: the transition a pulse actually works on."""
+
+    __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "decay",
+                 "tabulable", "table")
+
+    def __init__(self, trans, amp_filt, omega_peak, sys, decay, survival):
+        self.trans = trans
+        self.pair = (trans.lower, trans.upper)
+        self.omega_peak = omega_peak
+        # shift of the peak-amplitude drive; it follows the instantaneous
+        # power as ac_shift * envelope**2
+        self.ac_shift = ac_zeeman_shift(sys, trans, amp_filt)
+        self.decay = decay
+        self.tabulable = survival >= _MIN_SURVIVAL
+        self.table = None           # _NoJumpTable, built on first use
+
+
+class _NoJumpTable:
+    """Cumulative no-jump maps of one drive over a plan's step grid.
+
+    On the unnormalised state v = (rho_ll, rho_uu, X, Y) of the driven
+    pair (populations and the transverse Bloch components, all scaled by
+    the trace) every step is linear: the rotation about the instantaneous
+    drive, the t2 factor on (X, Y), then the no-jump Kraus factor, which
+    keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). So for a
+    start vector v the jump hazard of step i is (num[i] . v) / (den[i] . v)
+    (the upper population after the rotation, times p_step, over the trace
+    before the step) and the end state is end @ v. ``restart[i]`` is the
+    start vector whose no-jump evolution passes through the lower pole
+    right after step i, so a jump back into the pair at step i continues
+    from it. The population basis keeps the trace of a decaying upper
+    level exact (no cancellation between n and Z).
+    """
+
+    __slots__ = ("num", "den", "end", "restart", "pole_hazard", "pole_end")
+
+    def __init__(self, plan, drive):
+        n, dt = plan.n_steps, plan.dt
+        env = np.asarray(plan.envelope)
+        wx = drive.omega_peak * env
+        wy = wx * math.sin(plan.phase)
+        wx = wx * math.cos(plan.phase)
+        detuning = (plan.frame - drive.trans.frequency
+                    if plan.frame != 0.0 else 0.0)
+        wz = (detuning - drive.ac_shift * env * env
+              if drive.ac_shift != 0.0 else np.full(n, detuning))
+        rot = _rotations(wx, wy, wz, dt)
+        # rotation and t2 in the population basis, one 4x4 map per step
+        zrow = np.stack([-rot[:, 2, 2], rot[:, 2, 2], rot[:, 2, 0],
+                         rot[:, 2, 1]], axis=1)
+        trace = np.array([1.0, 1.0, 0.0, 0.0])
+        maps = np.empty((n, 4, 4))
+        maps[:, 0] = 0.5 * (trace - zrow)
+        maps[:, 1] = 0.5 * (trace + zrow)
+        for row in (0, 1):
+            maps[:, 2 + row] = plan.t2_decay * np.stack(
+                [-rot[:, row, 2], rot[:, row, 2], rot[:, row, 0],
+                 rot[:, row, 1]], axis=1)
+        decay = drive.decay
+        q = 1.0 - decay.p_step
+        kraus = np.array([1.0, q, decay.sqrt_survive, decay.sqrt_survive])
+        steps = kraus[None, :, None] * maps
+        prefix = np.empty((n, 4, 4))
+        cum = np.eye(4)
+        for i in range(n):
+            cum = steps[i] @ cum
+            prefix[i] = cum
+        before = np.concatenate([np.eye(4)[None], prefix[:-1]])
+        self.den = before[:, 0] + before[:, 1]
+        self.num = decay.p_step * np.einsum("ij,ijk->ik", maps[:, 1], before)
+        self.end = prefix[-1].copy()
+        self.restart = None
+        if decay.p_step > 0.0:
+            lower_pole = np.broadcast_to([[1.0], [0.0], [0.0], [0.0]],
+                                         (n, 4, 1))
+            self.restart = np.linalg.solve(prefix, lower_pole)[:, :, 0]
+        # pole starts (v = e_0 or e_1): the readout's common case
+        self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
+                            self.num[:, 1] / self.den[:, 1])
+        self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
+
+
+def _rotations(wx, wy, wz, dt):
+    """Rodrigues matrices of the per-step rotations about (wx, wy, wz)*dt."""
+    norm2 = wx * wx + wy * wy + wz * wz
+    turn = norm2 > 1e-28
+    inv = np.where(turn, 1.0 / np.sqrt(np.where(turn, norm2, 1.0)), 0.0)
+    ax, ay, az = wx * inv, wy * inv, wz * inv
+    angle = np.where(turn, dt * np.sqrt(norm2), 0.0)
+    c, s = np.cos(angle), np.sin(angle)
+    axis = np.stack([ax, ay, az], axis=1)
+    zero = np.zeros_like(ax)
+    cross = np.stack([np.stack([zero, -az, ay], axis=1),
+                      np.stack([az, zero, -ax], axis=1),
+                      np.stack([-ay, ax, zero], axis=1)], axis=1)
+    return (c[:, None, None] * np.eye(3) + s[:, None, None] * cross
+            + (1.0 - c)[:, None, None] * axis[:, :, None] * axis[:, None, :])
+
+
+def _bloch(v) -> list:
+    """Normalised Bloch vector of an unnormalised (rho_ll, rho_uu, X, Y)."""
+    n = v[0] + v[1]
+    return [float(v[2] / n), float(v[3] / n), float((v[1] - v[0]) / n)]
 
 
 class _PulsePlan:
@@ -355,15 +491,17 @@ class _PulsePlan:
     """
 
     __slots__ = ("sys", "noise", "by_level", "n_steps", "dt", "envelope",
-                 "phase", "_tables")
+                 "phase", "frame", "t2_decay", "decays")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
         self.noise = noise
-        self.n_steps, self.dt = _step_grid(seg, sys, None)
+        self.n_steps, self.dt = _step_grid(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.phase = seg.phase
-        self._tables = {}
+        self.frame = seg.frequency
+        self.t2_decay = math.exp(-self.dt / noise.t2) if noise.t2 else 1.0
+        self.decays: dict[int, _Decay] = {}
         self.by_level = [None] * len(sys.levels)
         if not seg.driven:
             return
@@ -383,65 +521,26 @@ class _PulsePlan:
             drive = drives.get(id(best))
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
-                drive = _LevelDrive(best, amp * filt, omega_peak, sys,
-                                    noise, self.dt)
+                decay = _Decay(sys, best.upper, noise, self.dt)
+                survival = ((1.0 - decay.p_step)
+                            * self.t2_decay) ** self.n_steps
+                drive = _LevelDrive(best, amp * filt, omega_peak, sys, decay,
+                                    survival)
                 drives[id(best)] = drive
             self.by_level[level] = drive
 
     def drive_for(self, level: int):
         return self.by_level[level] if 0 <= level < len(self.by_level) else None
 
-    def hazard_table(self, drive: _LevelDrive, detuning: float, z0: float):
-        """Deterministic no-jump trajectory from a pure pole.
-
-        Without dynamic noise the conditional evolution between jumps
-        does not depend on the shot, so the per-step jump hazard and
-        Bloch vector can be tabulated once per (drive, detuning, pole)
-        and each shot reduces to one vectorized threshold test.
-        """
-        key = (id(drive), detuning, z0)
-        table = self._tables.get(key)
-        if table is None:
-            table = self._build_table(drive, detuning, z0)
-            self._tables[key] = table
-        return table
-
-    def _build_table(self, drive: _LevelDrive, detuning: float, z0: float):
-        n_steps, dt = self.n_steps, self.dt
-        omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
-        p_step, sqrt_survive = drive.p_step, drive.sqrt_survive
-        cphi, sphi = math.cos(self.phase), math.sin(self.phase)
-        x, y, z = 0.0, 0.0, z0
-        hazard = np.empty(n_steps)
-        bx = np.empty(n_steps)
-        by = np.empty(n_steps)
-        bz = np.empty(n_steps)
-        for i in range(n_steps):
-            env_i = self.envelope[i]
-            wx = omega_peak * env_i
-            wy = wx * sphi
-            wx *= cphi
-            wz = detuning - ac_shift * env_i * env_i \
-                if ac_shift != 0.0 else detuning
-            norm2 = wx * wx + wy * wy + wz * wz
-            if norm2 > 1e-28:
-                inv = 1.0 / math.sqrt(norm2)
-                angle = dt / inv
-                ax, ay, az = wx * inv, wy * inv, wz * inv
-                c, s = math.cos(angle), math.sin(angle)
-                dot = (ax * x + ay * y + az * z) * (1.0 - c)
-                x, y, z = (x * c + (ay * z - az * y) * s + ax * dot,
-                           y * c + (az * x - ax * z) * s + ay * dot,
-                           z * c + (ax * y - ay * x) * s + az * dot)
-            p_upper = 0.5 * (1.0 + z)
-            hazard[i] = p_upper * p_step
-            if p_step > 0.0:
-                norm = 1.0 - p_upper * p_step
-                x *= sqrt_survive / norm
-                y *= sqrt_survive / norm
-                z = (p_upper * (1.0 - p_step) - (1.0 - p_upper)) / norm
-            bx[i], by[i], bz[i] = x, y, z
-        return hazard, bx, by, bz
+    def decay_for(self, level: int) -> _Decay:
+        """Decay of the upper level of an undriven coherence."""
+        decay = self.decays.get(level)
+        if decay is None:
+            decay = _Decay(self.sys, level, self.noise, self.dt)
+            decay.survival = ((1.0 - decay.p_step)
+                              ** np.arange(self.n_steps + 1))
+            self.decays[level] = decay
+        return decay
 
 
 _PLAN_CACHE: dict = {}
@@ -464,164 +563,249 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
                 rng, noise: NoiseModel = NO_NOISE) -> list[JumpEvent]:
     """Evolve through one segment, returning the jump events.
 
-    Driven kinds rotate the addressed two-level subspace step by step,
-    with decay from the upper level interleaved as jump sampling;
+    Driven kinds rotate the addressed two-level subspace, with decay from
+    the upper level sampled as jumps on the plan's step grid;
     ``wait``/``detect_window`` precess any surviving coherence in the
     frame of ``seg.frequency`` (0 freezes the phase) while relaxation
-    continues.
+    continues. A segment runs on one of three paths:
+
+    - population mode, when no coherence is carried: plain relaxation
+      across the whole segment (``sample_relaxation``);
+    - no-jump maps, when the noise is static: the closed form for an
+      undriven coherence, the drive's tabulated cumulative maps for a
+      driven one; one uniform per step is drawn and compared with the
+      step's hazard, as in the step loop, so events, levels and random
+      stream match it up to rounding;
+    - the per-step loop, kept for Ornstein--Uhlenbeck or telegraph noise
+      (the detuning changes every step), for drives under a per-shot
+      ``t2_star`` detuning (a table per shot would not be reused), and
+      for driven segments too lossy for the tables' precision.
+
+    A jump is stamped at the midpoint of the step it falls in.
     """
-    events: list[JumpEvent] = []
     if seg.wall_time == 0.0:
-        return events
+        return []
     plan = _pulse_plan(seg, sys, noise)
-
-    drive = None
-    if seg.driven:
-        if state.bloch is not None and state.pair is not None:
-            # keep the coherence only when this carrier re-addresses it
-            cont = plan.drive_for(state.pair[0])
-            if cont is not None and cont.pair == state.pair:
-                drive = cont
-            else:
-                _collapse(state, rng)
-        if state.bloch is None:
-            drive = plan.drive_for(state.level)
-            if drive is not None:
-                z0 = -1.0 if state.level == drive.pair[0] else 1.0
-                state.bloch, state.pair = [0.0, 0.0, z0], drive.pair
-        pair = state.pair if drive is not None else None
-    else:
-        pair = state.pair
-        if pair is not None and state.bloch is not None:
-            x0, y0, z0 = state.bloch
-            if x0 * x0 + y0 * y0 < 2.5e-3 and abs(z0) > 0.99:
-                # nearly pure population state: resolve it now and let the
-                # segment run in the cheap population mode
-                _collapse(state, rng)
-                pair = None
-
-    if pair is None or state.bloch is None:
+    drive = _enter(state, seg, plan, rng)
+    if state.pair is None or state.bloch is None:
         # population mode: plain relaxation across the whole segment
         t0 = state.time
-        events += sample_relaxation(state, seg.wall_time, sys, rng, noise)
+        events = sample_relaxation(state, seg.wall_time, sys, rng, noise)
         _advance_noise(state, noise, state.time - t0, rng)
         return events
+    if noise.ou_sigma > 0 or noise.telegraph_rate > 0 or (
+            drive is not None
+            and (state.shot_offset != 0.0 or not drive.tabulable)):
+        return _step_loop(state, seg, plan, drive, rng)
+    if drive is None:
+        return _free_map(state, seg, plan, rng)
+    return _table_map(state, seg, plan, drive, rng)
 
-    lower, upper = pair
-    frame = seg.frequency
+
+def _enter(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
+    """Prepare the coherence a segment evolves; returns its drive or None.
+
+    A driven segment keeps an existing coherence only when its carrier
+    re-addresses the same pair, and otherwise starts the occupied level's
+    drive target from a pole. An undriven segment resolves a nearly pure
+    population state now, so that it runs in the cheap population mode.
+    """
+    if seg.driven:
+        if state.bloch is not None and state.pair is not None:
+            cont = plan.drive_for(state.pair[0])
+            if cont is not None and cont.pair == state.pair:
+                return cont
+            _collapse(state, rng)
+        drive = plan.drive_for(state.level)
+        if drive is not None:
+            z0 = -1.0 if state.level == drive.pair[0] else 1.0
+            state.bloch, state.pair = [0.0, 0.0, z0], drive.pair
+        return drive
+    if state.pair is not None and state.bloch is not None:
+        x0, y0, z0 = state.bloch
+        if x0 * x0 + y0 * y0 < 2.5e-3 and abs(z0) > 0.99:
+            _collapse(state, rng)
+    return None
+
+
+def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
+    """Closed-form no-jump evolution of a coherence with the drive off.
+
+    A rotation about z commutes with the amplitude-damping no-jump map.
+    After i no-jump steps the upper population is
+    rho_uu q**i / (rho_ll + rho_uu q**i), so the hazard of every step is
+    known at once; the end coherence is (x, y) rotated by the detuning
+    times the segment length and scaled by (sqrt(q) t2_decay)**n over the
+    same norm. A jump back to the lower level leaves the pole, which no
+    longer decays or precesses.
+    """
+    lower, upper = state.pair
+    decay = plan.decay_for(upper)
+    n, dt = plan.n_steps, plan.dt
+    x, y, z = state.bloch
+    t0 = state.time
+    events: list[JumpEvent] = []
+    scale = plan.t2_decay ** n
+    if decay.gamma > 0:
+        uniforms = rng.random(n)
+        p_upper = 0.5 * (1.0 + z)
+        p_lower = 1.0 - p_upper
+        weight = p_upper * decay.survival
+        hazard = decay.p_step * weight[:-1] / (p_lower + weight[:-1])
+        hits = np.flatnonzero(uniforms < hazard)
+        if hits.size:
+            i = int(hits[0])
+            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            if state.level != lower:
+                state.time = t0 + (i + 1) * dt
+                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                                   rng, events)
+            state.bloch = [0.0, 0.0, -1.0]
+            state.time = t0 + seg.wall_time
+            return events
+        upper_end = float(weight[-1])
+        norm = p_lower + upper_end
+        scale *= decay.sqrt_survive ** n / norm
+        z = (upper_end - p_lower) / norm
+    detuning = (plan.frame - _pair_frequency(plan.sys, state.pair)
+                - state.shot_offset if plan.frame != 0.0 else 0.0)
+    angle = detuning * dt * n
+    c, s = math.cos(angle), math.sin(angle)
+    state.bloch = [(x * c - y * s) * scale, (y * c + x * s) * scale, z]
+    state.time = t0 + seg.wall_time
+    return events
+
+
+def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
+               drive: _LevelDrive, rng):
+    """Driven no-jump evolution from the drive's tabulated maps.
+
+    Each start vector (a pole, the entry coherence, or the restart vector
+    after a jump back to the lower level) costs two mat-vecs for the
+    hazards of the remaining steps and one for the end state.
+    """
+    table = drive.table
+    if table is None:
+        table = drive.table = _NoJumpTable(plan, drive)
+    decay = drive.decay
+    n, dt = plan.n_steps, plan.dt
+    t0 = state.time
+    events: list[JumpEvent] = []
+    x, y, z = state.bloch
+    if x == 0.0 and y == 0.0 and (z == 1.0 or z == -1.0):
+        v, hazard, end = None, table.pole_hazard[z > 0], table.pole_end[z > 0]
+    else:
+        v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
+        hazard = None
+    if decay.gamma > 0:
+        uniforms = rng.random(n)
+        start = 0
+        while start < n:
+            if hazard is None:
+                hazard = (table.num[start:] @ v) / (table.den[start:] @ v)
+            hits = np.flatnonzero(uniforms[start:] < hazard)
+            if not hits.size:
+                break
+            i = start + int(hits[0])
+            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            if state.level != drive.pair[0]:
+                state.time = t0 + (i + 1) * dt
+                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                                   rng, events)
+            v, hazard, start = table.restart[i], None, i + 1
+    state.bloch = list(end) if v is None else _bloch(table.end @ v)
+    state.time = t0 + seg.wall_time
+    return events
+
+
+def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
+               drive: _LevelDrive | None, rng):
+    """Per-step propagation of the coherence; the reference for the maps.
+
+    Each step rotates the Bloch vector about the instantaneous drive
+    (Rodrigues), applies the t2 factor, and compares one pre-drawn
+    uniform with the step's jump hazard; without a jump the conditional
+    no-jump map of amplitude damping renormalises the state, so jump
+    timing from a partially excited state stays exact. The
+    Ornstein--Uhlenbeck and telegraph channels advance every step.
+    """
+    noise = plan.noise
+    lower, upper = state.pair
     if drive is not None:
-        trans_freq = drive.trans.frequency
-        rates, dests = drive.rates, drive.dests
-        labels, photons = drive.labels, drive.photons
-        gamma, p_step = drive.gamma, drive.p_step
-        sqrt_survive = drive.sqrt_survive
+        decay, trans_freq = drive.decay, drive.trans.frequency
         omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
     else:
-        trans_freq = _pair_frequency(sys, pair)
-        rates, dests, labels, photons = _decay_table(sys, upper, noise)
-        gamma = sum(rates)
-        p_step = -math.expm1(-gamma * plan.dt) if gamma > 0 else 0.0
-        sqrt_survive = math.sqrt(1.0 - p_step)
+        decay = plan.decay_for(upper)
+        trans_freq = _pair_frequency(plan.sys, state.pair)
         omega_peak, ac_shift = 0.0, 0.0
-    n_steps, dt = plan.n_steps, plan.dt
-    envelope = plan.envelope
-    t2_decay = math.exp(-dt / noise.t2) if noise.t2 else 1.0
+    p_step, sqrt_survive = decay.p_step, decay.sqrt_survive
+    n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
+    t2_decay = plan.t2_decay
+    frame = plan.frame
     dynamic_noise = noise.ou_sigma > 0 or noise.telegraph_rate > 0
-    uniforms = rng.random(n_steps) if gamma > 0 else None
+    uniforms = rng.random(n_steps) if decay.gamma > 0 else None
     x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
                float(state.bloch[2]))
     base_detuning = (frame - trans_freq - state.shot_offset
                      if frame != 0.0 else 0.0)
     detuning = base_detuning
-
-    jumped_out = False
-    done = False
-    t_local = 0.0
-    start = 0
-    if (not dynamic_noise and not noise.t2 and drive is not None
-            and x == 0.0 and y == 0.0 and (z == 1.0 or z == -1.0)):
-        # pure-pole start without dynamic noise: the conditional no-jump
-        # trajectory is shot-independent, so the first jump (if any) can
-        # be located in one vectorized pass over the tabulated hazard
-        hazard, bx, by, bz = plan.hazard_table(drive, detuning, z)
-        hits = np.nonzero(uniforms < hazard)[0] if gamma > 0 else ()
-        if len(hits) == 0:
-            x, y, z = float(bx[-1]), float(by[-1]), float(bz[-1])
-            state.time += n_steps * dt
-            t_local = seg.wall_time
-            done = True
+    cphi, sphi = math.cos(plan.phase), math.sin(plan.phase)
+    t0 = state.time
+    events: list[JumpEvent] = []
+    for i in range(n_steps):
+        if dynamic_noise:
+            _advance_noise(state, noise, dt, rng)
+            if frame != 0.0:
+                detuning = base_detuning - state.ou_value
+                if noise.telegraph_rate > 0:
+                    detuning -= state.telegraph_sign * noise.telegraph_shift
+        env_i = envelope[i]
+        wx = omega_peak * env_i
+        wy = wx * sphi
+        wx *= cphi
+        # AC-Zeeman shift follows the instantaneous drive power
+        wz = detuning - ac_shift * env_i * env_i \
+            if ac_shift != 0.0 else detuning
+        # Rodrigues rotation about (wx, wy, wz) * dt
+        norm2 = wx * wx + wy * wy + wz * wz
+        if norm2 > 1e-28:
+            inv = 1.0 / math.sqrt(norm2)
+            angle = dt / inv
+            ax, ay, az = wx * inv, wy * inv, wz * inv
+            c, s = math.cos(angle), math.sin(angle)
+            dot = (ax * x + ay * y + az * z) * (1.0 - c)
+            x, y, z = (x * c + (ay * z - az * y) * s + ax * dot,
+                       y * c + (az * x - ax * z) * s + ay * dot,
+                       z * c + (ax * y - ay * x) * s + az * dot)
+        x *= t2_decay
+        y *= t2_decay
+        state.time = t0 + (i + 1) * dt
+        if uniforms is None:
+            continue
+        p_upper = 0.5 * (1.0 + z)
+        if uniforms[i] < p_upper * p_step:
+            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            if state.level != lower:
+                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                                   rng, events)
+            x, y, z = 0.0, 0.0, -1.0
         else:
-            i = int(hits[0])
-            t_local = (i + 1) * dt
-            state.time += t_local
-            state.level = _sample_jump(rates, dests, labels, photons,
-                                       state.time, rng, events)
-            if state.level == lower:
-                x, y, z = 0.0, 0.0, -1.0
-                start = i + 1
-                done = start >= n_steps
-            else:
-                jumped_out = True
-                done = True
-    if not done:
-        cphi, sphi = math.cos(seg.phase), math.sin(seg.phase)
-        for i in range(start, n_steps):
-            if dynamic_noise:
-                _advance_noise(state, noise, dt, rng)
-                if frame != 0.0:
-                    detuning = base_detuning - state.ou_value
-                    if noise.telegraph_rate > 0:
-                        detuning -= state.telegraph_sign * noise.telegraph_shift
-            env_i = envelope[i]
-            wx = omega_peak * env_i
-            wy = wx * sphi
-            wx *= cphi
-            # AC-Zeeman shift follows the instantaneous drive power
-            wz = detuning - ac_shift * env_i * env_i \
-                if ac_shift != 0.0 else detuning
-            # Rodrigues rotation about (wx, wy, wz) * dt
-            norm2 = wx * wx + wy * wy + wz * wz
-            if norm2 > 1e-28:
-                inv = 1.0 / math.sqrt(norm2)
-                angle = dt / inv
-                ax, ay, az = wx * inv, wy * inv, wz * inv
-                c, s = math.cos(angle), math.sin(angle)
-                dot = (ax * x + ay * y + az * z) * (1.0 - c)
-                x, y, z = (x * c + (ay * z - az * y) * s + ax * dot,
-                           y * c + (az * x - ax * z) * s + ay * dot,
-                           z * c + (ax * y - ay * x) * s + az * dot)
-            if noise.t2:
-                x *= t2_decay
-                y *= t2_decay
-            t_local += dt
-            state.time += dt
-            if gamma > 0:
-                p_upper = 0.5 * (1.0 + z)
-                if uniforms[i] < p_upper * p_step:
-                    state.level = _sample_jump(rates, dests, labels, photons,
-                                               state.time, rng, events)
-                    if state.level == lower:
-                        x, y, z = 0.0, 0.0, -1.0
-                    else:
-                        jumped_out = True
-                        break
-                else:
-                    # conditional no-jump map of amplitude damping, so that
-                    # jump timing from a partially excited state stays exact
-                    norm = 1.0 - p_upper * p_step
-                    x *= sqrt_survive / norm
-                    y *= sqrt_survive / norm
-                    z = (p_upper * (1.0 - p_step) - (1.0 - p_upper)) / norm
-
-    if jumped_out:
-        state.bloch = None
-        state.pair = None
-        remaining = seg.wall_time - t_local
-        if remaining > 0:
-            events += sample_relaxation(state, remaining, sys, rng, noise)
-        return events
+            norm = 1.0 - p_upper * p_step
+            x *= sqrt_survive / norm
+            y *= sqrt_survive / norm
+            z = (p_upper * (1.0 - p_step) - (1.0 - p_upper)) / norm
     state.bloch = [x, y, z]
-    state.pair = pair
+    return events
+
+
+def _leave_pair(state: SystemState, plan: _PulsePlan, remaining: float, rng,
+                events: list[JumpEvent]) -> list[JumpEvent]:
+    """After a jump out of the pair: population mode for the rest."""
+    state.bloch = None
+    state.pair = None
+    if remaining > 0:
+        events += sample_relaxation(state, remaining, plan.sys, rng,
+                                    plan.noise)
     return events
 
 

@@ -207,16 +207,9 @@ def forbidden_pi(sys: SpinSystem, branch: str, *,
     probe = PulseSegment(kind="flattop", frequency=trans.frequency,
                          amplitude=amp, duration=math.pi / omega_eff + 2 * edge,
                          edge=edge)
-    plan_steps, plan_dt = dyn._step_grid(probe, sys, None)
-    area = np.sum(dyn._envelope_samples(probe, plan_steps, plan_dt)) * plan_dt
-    duration = math.pi / omega_eff + (probe.duration - area)
-    if sys.params.n_nuclei == 1:
-        from .spinmodel import ac_zeeman_frequencies, forbidden_frequencies
-        d_d, d_z = ac_zeeman_frequencies(sys.params, amp * filt)
-        d0_d, d0_z = forbidden_frequencies(sys.params)
-        shift = (d_d - d0_d) if branch.startswith("double") else (d_z - d0_z)
-    else:
-        shift = 0.0
+    duration = math.pi / omega_eff + (probe.duration
+                                      - dyn.pulse_area(probe, sys))
+    shift = dyn.ac_zeeman_shift(sys, trans, amp * filt)
     return PulseSegment(kind="flattop", frequency=trans.frequency + shift,
                         amplitude=amp, duration=duration, edge=edge)
 

@@ -2,11 +2,15 @@
 reproducibility, noise channels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from jumpspec import dynamics as dyn
 from jumpspec.dynamics import (NO_NOISE, AmbiguousDriveError, NoiseModel,
                                PulseSegment, SystemState, apply_pulse,
                                evolve_free, gaussian_pi, run_schedule,
@@ -259,3 +263,153 @@ def test_trajectory_windows_recorded(system):
     for tr in trajs:
         assert tr.windows == ((1e-3, 3e-3),)
         assert tr.final_time == pytest.approx(3e-3)
+
+
+@pytest.fixture(scope="module")
+def fast_system():
+    """Purcell lifetime ~13 us: most pulses see jumps, including jumps
+    back into the driven pair."""
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    return build_system(p, CavityParams.from_hz(7.334e9, 640e3, 45e3))
+
+
+def _via_step_loop(state, seg, sys, rng, noise):
+    plan = dyn._pulse_plan(seg, sys, noise)
+    drive = dyn._enter(state, seg, plan, rng)
+    return dyn._step_loop(state, seg, plan, drive, rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(fast=st.booleans(),
+       kind=st.sampled_from(["gaussian_pi", "square", "wait",
+                             "detect_window"]),
+       offset_hz=st.floats(-30e3, 8e3),
+       pulse_len=st.floats(10e-6, 200e-6),
+       free_len=st.floats(10e-6, 3e-3),
+       rotation=st.floats(0.1, 2.0 * math.pi),
+       t2=st.one_of(st.none(), st.floats(20e-6, 2e-3)),
+       start=st.one_of(st.sampled_from(["lower", "upper"]),
+                       st.tuples(st.floats(0.06, math.pi - 0.06),
+                                 st.floats(0.0, 2.0 * math.pi))),
+       shot_hz=st.floats(-20e3, 20e3),
+       framed=st.booleans(),
+       seed=st.integers(0, 2 ** 31))
+def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
+                                      offset_hz, pulse_len, free_len,
+                                      rotation, t2, start, shot_hz, framed,
+                                      seed):
+    """The closed-form and tabulated maps against the per-step loop: same
+    jumps, levels and random stream; times and Bloch vectors to rounding."""
+    sys = fast_system if fast else system
+    t = sys.transition("allowed_d")
+    noise = NoiseModel(t2=t2)
+    carrier = t.frequency + TWO_PI * offset_hz
+    driven = kind in ("gaussian_pi", "square")
+    if driven:
+        seg = PulseSegment(kind=kind, frequency=carrier, duration=pulse_len,
+                           rotation=rotation)
+    else:
+        seg = PulseSegment(kind=kind, frequency=carrier if framed else 0.0,
+                           duration=free_len)
+    plan = dyn._pulse_plan(seg, sys, noise)
+    state = SystemState(level=t.lower, time=0.0123)
+    if isinstance(start, str):
+        assume(driven)
+        state.level = t.lower if start == "lower" else t.upper
+        drive = plan.drive_for(state.level)
+    else:
+        theta, phi = start
+        state.bloch = [math.sin(theta) * math.cos(phi),
+                       math.sin(theta) * math.sin(phi), math.cos(theta)]
+        state.pair = (t.lower, t.upper)
+        drive = plan.drive_for(t.lower) if driven else None
+        if driven:
+            assume(drive is not None)
+            state.pair = drive.pair
+        else:
+            state.shot_offset = TWO_PI * shot_hz
+    if driven:
+        assume(drive is not None and drive.tabulable)
+    start_state = state
+    # several shots per drawn segment: a hazard that is off by p_step**2
+    # flips one comparison in ~1e4
+    for shot in range(8):
+        state = replace(start_state)
+        ref = replace(start_state)
+        rng, ref_rng = trajectory_rng(seed, shot), trajectory_rng(seed, shot)
+        events = apply_pulse(state, seg, sys, rng, noise)
+        ref_events = _via_step_loop(ref, seg, sys, ref_rng, noise)
+        if driven:
+            assert drive.table is not None          # the maps ran
+        assert [(e.label, e.photon) for e in events] == [
+            (e.label, e.photon) for e in ref_events]
+        for e, r in zip(events, ref_events):
+            assert abs(e.time - r.time) < 1e-12
+        assert state.level == ref.level and state.pair == ref.pair
+        assert abs(state.time - ref.time) < 1e-12
+        assert (repr(rng.bit_generator.state)
+                == repr(ref_rng.bit_generator.state))
+        assert (state.bloch is None) == (ref.bloch is None)
+        if state.bloch is not None:
+            np.testing.assert_allclose(state.bloch, ref.bloch, rtol=0,
+                                       atol=1e-9)
+
+
+def test_window_photons_lie_inside_the_window(system):
+    """A jump is stamped inside its step, so a jump in the last step of a
+    detection window is a photon of that window, not one at its end."""
+    from jumpspec.dynamics import detect
+    t = system.transition("allowed_d")
+    seg = detect(1.5e-3)
+    photons = 0
+    for i in range(3000):
+        rng = trajectory_rng(24, i)
+        state = SystemState(level=t.lower, time=0.1234 + 1e-3 * i,
+                            bloch=[0.6, 0.0, 0.8], pair=(t.lower, t.upper))
+        t0 = state.time
+        for e in apply_pulse(state, seg, system, rng):
+            assert t0 <= e.time < t0 + seg.duration
+            photons += e.photon
+    assert photons > 1000
+
+
+def test_no_jump_cache_is_independent_of_shot_count():
+    """Per-shot t2* detunings must not leave a cached table per shot."""
+    from jumpspec.detector import DetectorParams
+    from jumpspec.sequencer import ramsey_experiment
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+    noise = NoiseModel(t2_star=100e-6)
+
+    def cached():
+        n = 0
+        for plan in list(dyn._PLAN_CACHE.values()):
+            if plan.sys is sys:
+                drives = set(d for d in plan.by_level if d is not None)
+                n += len(plan.decays) + sum(d.table is not None
+                                            for d in drives)
+        return n
+
+    def run(shots):
+        ramsey_experiment(sys, DetectorParams(), 3, transition="allowed_d",
+                          delays=[0.0, 60e-6], n_averages=shots, noise=noise)
+        return cached()
+
+    assert run(10) == run(100)
+
+
+def test_lossy_drive_keeps_step_loop_precision(fast_system):
+    """A drive spanning ~30 and ~80 lifetimes: too lossy for the tables'
+    restart vectors, so the segment must still match the step loop."""
+    t = fast_system.transition("allowed_d")
+    for duration in (400e-6, 1e-3):
+        seg = PulseSegment(kind="square", frequency=t.frequency,
+                           duration=duration)
+        for i in range(50):
+            state, ref = SystemState(level=t.lower), SystemState(level=t.lower)
+            rng, ref_rng = trajectory_rng(25, i), trajectory_rng(25, i)
+            events = apply_pulse(state, seg, fast_system, rng)
+            ref_events = _via_step_loop(ref, seg, fast_system, ref_rng,
+                                        NO_NOISE)
+            assert [e.label for e in events] == [e.label for e in ref_events]
+            assert state.level == ref.level and state.bloch == ref.bloch
