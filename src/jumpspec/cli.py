@@ -26,7 +26,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, analysis, sequencer
+from . import __version__, analysis, fitting, sequencer
 from .config import ConfigError, RunConfig, load_config
 from .detector import DetectorParams
 from .dynamics import SystemState, trajectory_rng
@@ -101,8 +101,8 @@ def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
         fit = analysis.fit_lorentzian(deltas, mean)
         summary.update(peak_delta_hz=fit.center, peak_sigma_hz=fit.center_sigma,
                        fwhm_hz=fit.fwhm)
-    except Exception:
-        summary["peak_delta_hz"] = None
+    except fitting.FitError as exc:
+        summary.update(peak_delta_hz=None, fit_error=str(exc))
     return [fname], summary
 
 

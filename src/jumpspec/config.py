@@ -124,8 +124,7 @@ def _experiment(node, i) -> tuple[str, ExperimentConfig]:
         raise ConfigError(f"{path}.params", "expected a mapping")
     params = {k: _convert_param(v, f"{path}.params.{k}")
               for k, v in raw.items()}
-    return name, ExperimentConfig(protocol=protocol, params=params,
-                                  tracking=node.get("tracking", "off"))
+    return name, ExperimentConfig(protocol=protocol, params=params)
 
 
 def _convert_param(value, path):

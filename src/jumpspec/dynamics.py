@@ -13,9 +13,13 @@ noise is static, in closed form for free evolution and from cumulative
 4x4 maps tabulated once per drive for driven segments, both linear on
 the unnormalised state (Dalibard, Castin & Mølmer, PRL 68, 580, 1992);
 and the per-step Bloch loop, which is kept for Ornstein--Uhlenbeck and
-telegraph noise and for drives under a per-shot detuning. The maps draw
-the loop's per-step uniforms and make its comparisons, so the loop is
-their reference in the tests.
+telegraph noise, for drives under a per-shot detuning and for driven
+segments whose no-jump survival is below 1e-6. The maps draw the loop's
+per-step uniforms and make its comparisons, so the loop is their
+reference in the tests. Plans and decay records are memoised by value
+on the ``SpinSystem`` they belong to, so they are freed with it. Threads
+sharing a system may build an entry twice; entries depend only on their
+key, so either copy serves.
 
 Optional noise channels (all off by default): static per-shot detuning
 reproducing an exponential Ramsey envelope, Markovian transverse decay,
@@ -136,7 +140,7 @@ class NoiseModel:
     ou_tau: float = 1.0
     telegraph_rate: float = 0.0
     telegraph_shift: float = 0.0
-    extra_cross_rates: dict = field(default_factory=dict)
+    extra_cross_rates: dict = field(default_factory=dict, hash=False)
 
     def shot_offset(self, rng) -> float:
         if not self.t2_star:
@@ -159,12 +163,6 @@ class SystemState:
     ou_value: float = 0.0
     telegraph_sign: int = 1
 
-    def frequency_shift(self, noise: NoiseModel) -> float:
-        shift = self.shot_offset + self.ou_value
-        if noise.telegraph_rate > 0:
-            shift += self.telegraph_sign * noise.telegraph_shift
-        return shift
-
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -186,36 +184,48 @@ class Trajectory:
         return np.array([e.time for e in self.events if e.photon])
 
 
-def _decay_table(sys: SpinSystem, level: int, noise: NoiseModel):
-    """(rates, destinations, labels, photon flags) out of ``level``."""
-    rates, dests, labels, photons = [], [], [], []
-    for ch in sys.channels[level]:
-        rates.append(ch.rate)
-        dests.append(ch.transition.lower)
-        labels.append(ch.transition.label)
-        photons.append(True)
-        extra = (noise.extra_cross_rates.get(ch.transition.label, 0.0)
-                 + sys.extra_cross_rates.get(ch.transition.label, 0.0))
-        if extra > 0:
-            rates.append(extra)
-            dests.append(ch.transition.lower)
-            labels.append(ch.transition.label)
-            photons.append(False)
-    return rates, dests, labels, photons
+class _Decay:
+    """Relaxation out of one level under one noise model: a photon-emitting
+    branch per radiative channel, plus a silent one wherever the system or
+    the noise model adds a non-radiative cross-relaxation rate.
+    """
+
+    __slots__ = ("rates", "dests", "labels", "photons", "total")
+
+    def __init__(self, sys: SpinSystem, level: int, noise: NoiseModel):
+        self.rates, self.dests, self.labels, self.photons = [], [], [], []
+        for ch in sys.channels[level]:
+            extra = (noise.extra_cross_rates.get(ch.transition.label, 0.0)
+                     + sys.extra_cross_rates.get(ch.transition.label, 0.0))
+            for rate, photon in ((ch.rate, True), (extra, False)):
+                if photon or rate > 0:
+                    self.rates.append(rate)
+                    self.dests.append(ch.transition.lower)
+                    self.labels.append(ch.transition.label)
+                    self.photons.append(photon)
+        self.total = sum(self.rates)
+
+    def jump(self, time, rng, events) -> int:
+        """Pick a branch proportionally to rate; append the event."""
+        u = rng.random() * self.total
+        acc = 0.0
+        # past the end (rounding), the last branch is taken
+        for rate, dest, label, photon in zip(self.rates, self.dests,
+                                             self.labels, self.photons):
+            acc += rate
+            if u <= acc:
+                break
+        events.append(JumpEvent(time=time, label=label, photon=photon))
+        return dest
 
 
-def _sample_jump(rates, dests, labels, photons, time, rng, events):
-    """Pick a branch proportionally to rate; append the event."""
-    total = sum(rates)
-    u = rng.random() * total
-    acc = 0.0
-    for rate, dest, label, photon in zip(rates, dests, labels, photons):
-        acc += rate
-        if u <= acc:
-            events.append(JumpEvent(time=time, label=label, photon=photon))
-            return dest
-    events.append(JumpEvent(time=time, label=labels[-1], photon=photons[-1]))
-    return dests[-1]
+def _decay(sys: SpinSystem, level: int, noise: NoiseModel) -> _Decay:
+    """The system's memoised decay record of ``level`` under ``noise``."""
+    key = (noise, level)
+    decay = sys._memo.get(key)
+    if decay is None:
+        decay = sys._memo[key] = _Decay(sys, level, noise)
+    return decay
 
 
 def sample_relaxation(state: SystemState, dt: float, sys: SpinSystem, rng,
@@ -227,16 +237,15 @@ def sample_relaxation(state: SystemState, dt: float, sys: SpinSystem, rng,
     the conditional exponential distribution.
     """
     events: list[JumpEvent] = []
-    rates, dests, labels, photons = _decay_table(sys, state.level, noise)
-    total = sum(rates)
-    if total <= 0:
+    decay = _decay(sys, state.level, noise)
+    if decay.total <= 0:
         state.time += dt
         return events
     u = rng.random()
-    if u < -math.expm1(-total * dt):
+    if u < -math.expm1(-decay.total * dt):
         # inverse-CDF draw; conditioning on u < p_jump keeps it inside dt
-        t_jump = state.time + (-math.log1p(-u)) / total
-        state.level = _sample_jump(rates, dests, labels, photons, t_jump, rng, events)
+        t_jump = state.time + (-math.log1p(-u)) / decay.total
+        state.level = decay.jump(t_jump, rng, events)
         state.bloch = None
         state.pair = None
         # the new level may itself decay within the remaining time
@@ -292,7 +301,7 @@ def calibrated_amplitude(seg: PulseSegment, sys: SpinSystem) -> float:
 
 def pulse_area(seg: PulseSegment, sys: SpinSystem) -> float:
     """Time integral of the envelope (s) on the step grid of ``apply_pulse``."""
-    n_steps, dt = _step_grid(seg, sys)
+    n_steps, dt = _time_steps(seg, sys)
     return sum(_envelope_samples(seg, n_steps, dt)) * dt
 
 
@@ -311,7 +320,7 @@ def ac_zeeman_shift(sys: SpinSystem, trans: Transition,
     return d_z - d0_z
 
 
-def _step_grid(seg: PulseSegment, sys: SpinSystem):
+def _time_steps(seg: PulseSegment, sys: SpinSystem):
     gamma = max((sys.total_rate(i) for i in range(len(sys.levels))),
                 default=0.0)
     wall = seg.wall_time
@@ -322,18 +331,9 @@ def _step_grid(seg: PulseSegment, sys: SpinSystem):
     return n_steps, wall / n_steps
 
 
-_ENVELOPE_CACHE: dict = {}
-
-
 def _envelope_samples(seg: PulseSegment, n_steps: int, dt: float):
-    """Mid-step envelope values, cached per pulse shape."""
-    key = (seg.kind, seg.duration, seg.edge, n_steps)
-    samples = _ENVELOPE_CACHE.get(key)
-    if samples is None:
-        samples = tuple(seg.envelope((i + 0.5) * dt) for i in range(n_steps))
-        if len(_ENVELOPE_CACHE) < 4096:
-            _ENVELOPE_CACHE[key] = samples
-    return samples
+    """Mid-step envelope values."""
+    return tuple(seg.envelope((i + 0.5) * dt) for i in range(n_steps))
 
 
 _WEIGHT_FLOOR = 1e-4
@@ -351,28 +351,22 @@ def _drive_weight(trans: Transition, seg: PulseSegment) -> float:
     return trans.matrix_element / (1.0 + (delta / bandwidth) ** 2)
 
 
-class _Decay:
-    """Relaxation out of one level on a plan's step grid.
+class _StepDecay:
+    """A level's decay record on a plan's step grid.
 
-    ``survival[i]``, set for undriven segments, is the no-jump probability
-    of a fully excited level over the first ``i`` steps, q**i with
-    q = 1 - p_step.
+    ``p_step`` is the jump probability of a fully excited level per step,
+    q = 1 - p_step. ``survival[i]``, set for undriven segments, is the
+    no-jump probability over the first ``i`` steps, q**i.
     """
 
-    __slots__ = ("rates", "dests", "labels", "photons", "gamma", "p_step",
-                 "sqrt_survive", "survival")
+    __slots__ = ("record", "p_step", "sqrt_survive", "survival")
 
-    def __init__(self, sys, level, noise, dt):
-        table = _decay_table(sys, level, noise)
-        self.rates, self.dests, self.labels, self.photons = table
-        self.gamma = sum(self.rates)
-        self.p_step = -math.expm1(-self.gamma * dt) if self.gamma > 0 else 0.0
+    def __init__(self, record: _Decay, dt: float):
+        self.record = record
+        self.p_step = (-math.expm1(-record.total * dt) if record.total > 0
+                       else 0.0)
         self.sqrt_survive = math.sqrt(1.0 - self.p_step)
         self.survival = None
-
-    def jump(self, time, rng, events) -> int:
-        return _sample_jump(self.rates, self.dests, self.labels, self.photons,
-                            time, rng, events)
 
 
 class _LevelDrive:
@@ -482,7 +476,7 @@ def _bloch(v) -> list:
 
 
 class _PulsePlan:
-    """Shot-independent precomputation for one (segment, system) pair.
+    """Shot-independent precomputation for one segment, system and noise.
 
     A pulse only drives transitions that involve the occupied level, so
     the plan holds one drive target per level: the line with the
@@ -496,12 +490,12 @@ class _PulsePlan:
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
         self.noise = noise
-        self.n_steps, self.dt = _step_grid(seg, sys)
+        self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.phase = seg.phase
         self.frame = seg.frequency
         self.t2_decay = math.exp(-self.dt / noise.t2) if noise.t2 else 1.0
-        self.decays: dict[int, _Decay] = {}
+        self.decays: dict[int, _StepDecay] = {}
         self.by_level = [None] * len(sys.levels)
         if not seg.driven:
             return
@@ -510,7 +504,7 @@ class _PulsePlan:
         if amp is None:
             amp = calibrated_amplitude(seg, sys)
         filt = drive_filter(sys.cavity, seg.frequency - sys.cavity.omega_0)
-        drives: dict[int, _LevelDrive] = {}
+        drives: dict[Transition, _LevelDrive] = {}
         for level in range(len(sys.levels)):
             cands = [t for t in sys.transitions if level in (t.lower, t.upper)]
             if not cands:
@@ -518,44 +512,40 @@ class _PulsePlan:
             best = max(cands, key=lambda t: _drive_weight(t, seg))
             if _drive_weight(best, seg) < _WEIGHT_FLOOR:
                 continue
-            drive = drives.get(id(best))
+            drive = drives.get(best)
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
-                decay = _Decay(sys, best.upper, noise, self.dt)
+                decay = _StepDecay(_decay(sys, best.upper, noise), self.dt)
                 survival = ((1.0 - decay.p_step)
                             * self.t2_decay) ** self.n_steps
-                drive = _LevelDrive(best, amp * filt, omega_peak, sys, decay,
-                                    survival)
-                drives[id(best)] = drive
+                drive = drives[best] = _LevelDrive(
+                    best, amp * filt, omega_peak, sys, decay, survival)
             self.by_level[level] = drive
 
     def drive_for(self, level: int):
         return self.by_level[level] if 0 <= level < len(self.by_level) else None
 
-    def decay_for(self, level: int) -> _Decay:
+    def decay_for(self, level: int) -> _StepDecay:
         """Decay of the upper level of an undriven coherence."""
         decay = self.decays.get(level)
         if decay is None:
-            decay = _Decay(self.sys, level, self.noise, self.dt)
+            decay = _StepDecay(_decay(self.sys, level, self.noise), self.dt)
             decay.survival = ((1.0 - decay.p_step)
                               ** np.arange(self.n_steps + 1))
             self.decays[level] = decay
         return decay
 
 
-_PLAN_CACHE: dict = {}
-
-
 def _pulse_plan(seg: PulseSegment, sys: SpinSystem,
                 noise: NoiseModel) -> _PulsePlan:
-    key = (id(sys), id(noise), seg.kind, seg.frequency, seg.amplitude,
-           seg.duration, seg.phase, seg.edge, seg.rotation)
-    plan = _PLAN_CACHE.get(key)
-    if plan is None or plan.sys is not sys or plan.noise is not noise:
-        plan = _PulsePlan(seg, sys, noise)
-        if len(_PLAN_CACHE) > 4096:
-            _PLAN_CACHE.clear()
-        _PLAN_CACHE[key] = plan
+    """The system's memoised plan of ``seg`` under ``noise``."""
+    # keyed by the segment's fields: the protocols build a new segment per
+    # call, and hashing the dataclass costs more than this tuple
+    key = (noise, seg.kind, seg.frequency, seg.amplitude, seg.duration,
+           seg.phase, seg.edge, seg.rotation)
+    plan = sys._memo.get(key)
+    if plan is None:
+        plan = sys._memo[key] = _PulsePlan(seg, sys, noise)
     return plan
 
 
@@ -588,11 +578,7 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     plan = _pulse_plan(seg, sys, noise)
     drive = _enter(state, seg, plan, rng)
     if state.pair is None or state.bloch is None:
-        # population mode: plain relaxation across the whole segment
-        t0 = state.time
-        events = sample_relaxation(state, seg.wall_time, sys, rng, noise)
-        _advance_noise(state, noise, state.time - t0, rng)
-        return events
+        return _relax(state, plan, seg.wall_time, rng)
     if noise.ou_sigma > 0 or noise.telegraph_rate > 0 or (
             drive is not None
             and (state.shot_offset != 0.0 or not drive.tabulable)):
@@ -646,7 +632,7 @@ def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
     t0 = state.time
     events: list[JumpEvent] = []
     scale = plan.t2_decay ** n
-    if decay.gamma > 0:
+    if decay.record.total > 0:
         uniforms = rng.random(n)
         p_upper = 0.5 * (1.0 + z)
         p_lower = 1.0 - p_upper
@@ -655,7 +641,7 @@ def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
         hits = np.flatnonzero(uniforms < hazard)
         if hits.size:
             i = int(hits[0])
-            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
                 return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
@@ -697,7 +683,7 @@ def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
     else:
         v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
         hazard = None
-    if decay.gamma > 0:
+    if decay.record.total > 0:
         uniforms = rng.random(n)
         start = 0
         while start < n:
@@ -707,7 +693,7 @@ def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
             if not hits.size:
                 break
             i = start + int(hits[0])
-            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != drive.pair[0]:
                 state.time = t0 + (i + 1) * dt
                 return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
@@ -743,7 +729,7 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
     t2_decay = plan.t2_decay
     frame = plan.frame
     dynamic_noise = noise.ou_sigma > 0 or noise.telegraph_rate > 0
-    uniforms = rng.random(n_steps) if decay.gamma > 0 else None
+    uniforms = rng.random(n_steps) if decay.record.total > 0 else None
     x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
                float(state.bloch[2]))
     base_detuning = (frame - trans_freq - state.shot_offset
@@ -784,7 +770,7 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
             continue
         p_upper = 0.5 * (1.0 + z)
         if uniforms[i] < p_upper * p_step:
-            state.level = decay.jump(t0 + (i + 0.5) * dt, rng, events)
+            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
                                    rng, events)
@@ -804,8 +790,17 @@ def _leave_pair(state: SystemState, plan: _PulsePlan, remaining: float, rng,
     state.bloch = None
     state.pair = None
     if remaining > 0:
-        events += sample_relaxation(state, remaining, plan.sys, rng,
-                                    plan.noise)
+        events += _relax(state, plan, remaining, rng)
+    return events
+
+
+def _relax(state: SystemState, plan: _PulsePlan, duration: float,
+           rng) -> list[JumpEvent]:
+    """Population mode: plain relaxation, with the Ornstein--Uhlenbeck
+    and telegraph noise advanced over the same time."""
+    t0 = state.time
+    events = sample_relaxation(state, duration, plan.sys, rng, plan.noise)
+    _advance_noise(state, plan.noise, state.time - t0, rng)
     return events
 
 

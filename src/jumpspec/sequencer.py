@@ -38,7 +38,6 @@ class ExperimentConfig:
 
     protocol: str
     params: dict = field(default_factory=dict)
-    tracking: str = "off"
 
 
 @dataclass(frozen=True)

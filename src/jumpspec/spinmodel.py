@@ -135,6 +135,9 @@ class SpinSystem:
     transitions: tuple[Transition, ...]
     channels: tuple[tuple[DecayChannel, ...], ...]
     extra_cross_rates: dict = field(default_factory=dict)
+    # the jump engine's pulse plans and decay records (see dynamics)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def level_index(self, electron: int, nuclear: str) -> int:
         return self.levels.index((electron, nuclear))
@@ -236,8 +239,8 @@ def _operators(n_nuclei: int):
 def hamiltonian(p: SpinParams) -> np.ndarray:
     """Secular Hamiltonian matrix (rad/s) in the product basis.
 
-    Basis ordering: electron first (down=+? no: m_S=+1/2 first index 0),
-    then nuclei; index bit 0 means m=+1/2 for that spin.
+    Basis ordering: Kronecker product electron x nucleus 0 x nucleus 1 ...,
+    index 0 of each factor being m=+1/2 (the electron is the top bit).
     """
     ops = _operators(p.n_nuclei)
     h = p.omega_s * ops["Sz"]
@@ -401,7 +404,7 @@ def closed_form_transitions(p: SpinParams):
     }
 
 
-def cross_relaxation(sys: SpinSystem, c: CavityParams | None = None):
+def cross_relaxation(sys: SpinSystem):
     """Cross-relaxation rates and probabilities (Gx_d, Gx_z, eta_d, eta_z)."""
     return sys.gamma_x_d, sys.gamma_x_z, sys.eta_d, sys.eta_z
 

@@ -160,6 +160,36 @@ def test_parallel_matches_sequential(tmp_path):
         assert (tmp_path / "par" / f.name).read_bytes() == f.read_bytes()
 
 
+def test_spectroscopy_fit_error_is_recorded(tmp_path, monkeypatch):
+    """A failed line fit leaves a reason in the summary; any other error
+    in the fit still fails the run."""
+    from jumpspec import analysis, fitting
+    exps = ("[{name: spec, protocol: spectroscopy, params: {span: 4 kHz, "
+            "step: 2 kHz, n_averages: 1, t_int: 100 us}}]")
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+
+    def no_fit(*args, **kwargs):
+        raise fitting.FitError("no convergence")
+
+    monkeypatch.setattr(analysis, "fit_lorentzian", no_fit)
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "out" / "spec_summary.json").read_text())
+    assert summary["peak_delta_hz"] is None
+    assert summary["fit_error"] == "no convergence"
+
+    def broken(*args, **kwargs):
+        raise ValueError("bad spectrum")
+
+    monkeypatch.setattr(analysis, "fit_lorentzian", broken)
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "runtime" and "bad spectrum" in err["message"]
+
+
 def test_report_missing_manifest_errors(tmp_path):
     result = CliRunner().invoke(main, ["report", str(tmp_path)])
     assert result.exit_code == 1

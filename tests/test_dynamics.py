@@ -383,8 +383,8 @@ def test_no_jump_cache_is_independent_of_shot_count():
 
     def cached():
         n = 0
-        for plan in list(dyn._PLAN_CACHE.values()):
-            if plan.sys is sys:
+        for plan in sys._memo.values():
+            if isinstance(plan, dyn._PulsePlan):
                 drives = set(d for d in plan.by_level if d is not None)
                 n += len(plan.decays) + sum(d.table is not None
                                             for d in drives)
@@ -396,6 +396,51 @@ def test_no_jump_cache_is_independent_of_shot_count():
         return cached()
 
     assert run(10) == run(100)
+
+
+def test_memo_is_freed_with_its_system():
+    """Plans and decay records live on their system and keep nothing
+    else alive: a system is collected once the caller drops it."""
+    import gc
+    import weakref
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 45e3))
+    t = sys.transition("allowed_d")
+    state = SystemState(level=t.lower)
+    rng = trajectory_rng(26, 0)
+    for seg in (gaussian_pi(t.frequency, rotation=math.pi / 2),
+                wait(50e-6, frame_frequency=t.frequency), wait(1e-3)):
+        apply_pulse(state, seg, sys, rng)
+    ref = weakref.ref(sys)
+    del sys
+    gc.collect()
+    assert ref() is None
+
+
+def test_dynamic_noise_advances_over_the_whole_segment(fast_system,
+                                                       monkeypatch):
+    """A jump out of the driven pair leaves the rest of the segment to
+    population mode; the Ornstein--Uhlenbeck noise still advances over
+    all of it."""
+    t = fast_system.transition("allowed_d")
+    seg = gaussian_pi(t.frequency)
+    noise = NoiseModel(ou_sigma=1e3, ou_tau=1e-3)
+    advanced = []
+    advance = dyn._advance_noise
+
+    def record(state, noise, dt, rng):
+        advanced.append(dt)
+        advance(state, noise, dt, rng)
+
+    monkeypatch.setattr(dyn, "_advance_noise", record)
+    left = 0
+    for i in range(2000):
+        advanced.clear()
+        state = SystemState(level=t.lower)
+        apply_pulse(state, seg, fast_system, trajectory_rng(3, i), noise)
+        assert sum(advanced) == pytest.approx(seg.wall_time, rel=1e-9), i
+        left += state.pair is None
+    assert left > 0          # some shots did leave the pair
 
 
 def test_lossy_drive_keeps_step_loop_precision(fast_system):
