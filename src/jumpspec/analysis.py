@@ -271,25 +271,22 @@ def _wald(n_jumps: int, n_exc: float):
                        n_excitations=n_exc)
 
 
-def excitation_count_correction(duration: float, sweep_step_hz: float,
-                                envelope=None) -> float:
+def excitation_count_correction(duration: float,
+                                sweep_step_hz: float) -> float:
     """Effective excitations per sweep crossing of a resonance.
 
     The pulse's spectral excitation bandwidth is the FWHM of the power
-    spectrum of its amplitude envelope (direct FFT; a Gaussian of FWHM
-    T gives 0.62/T); the correction is bandwidth / sweep step, floored
-    at one pulse.
+    spectrum of its Gaussian amplitude envelope of FWHM ``duration``
+    (direct FFT; 0.62/T for a FWHM T); the correction is bandwidth /
+    sweep step, floored at one pulse.
     """
     if duration <= 0 or sweep_step_hz <= 0:
         raise ValueError("duration and sweep step must be positive")
     n = 4096
     window = 8.0 * duration
     t = (np.arange(n) - n / 2) * (window / n)
-    if envelope is None:
-        sigma = duration / 2.3548200450309493
-        env = np.exp(-0.5 * (t / sigma) ** 2)
-    else:
-        env = np.asarray([envelope(ti) for ti in t], dtype=float)
+    sigma = duration / 2.3548200450309493
+    env = np.exp(-0.5 * (t / sigma) ** 2)
     spectrum = np.abs(np.fft.rfft(env)) ** 2
     freqs = np.fft.rfftfreq(n, window / n)
     half = 0.5 * spectrum[0]
@@ -319,7 +316,7 @@ class ThresholdResult:
         return self.threshold is None
 
 
-def readout_threshold(samples, bins: int | None = None) -> ThresholdResult:
+def readout_threshold(samples) -> ThresholdResult:
     """Two-Gaussian fit of count differences; equal-likelihood threshold.
 
     Overlap of the fitted modes gives the assignment fidelity. An
@@ -329,8 +326,7 @@ def readout_threshold(samples, bins: int | None = None) -> ThresholdResult:
     samples = np.asarray(samples, dtype=float)
     if samples.size < 100:
         raise ValueError("need at least 100 samples")
-    if bins is None:
-        bins = max(20, int(math.sqrt(samples.size)))
+    bins = max(20, int(math.sqrt(samples.size)))
     counts, edges = np.histogram(samples, bins=bins)
     xc = 0.5 * (edges[:-1] + edges[1:])
     med = float(np.median(samples))

@@ -17,9 +17,7 @@ import csv
 import hashlib
 import json
 import math
-import sys as _sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -47,13 +45,16 @@ class RunContext:
     lattice_file: str | None
 
 
+def _cell(v):
+    return f"{v:.10g}" if isinstance(v, float) else v
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
-            w.writerow([f"{v:.10g}" if isinstance(v, float) else v
-                        for v in row])
+            w.writerow([_cell(v) for v in row])
 
 
 def _write_jsonl(path: Path, records) -> None:
@@ -247,6 +248,18 @@ def _run_tracking(exp: ExperimentConfig, ctx: RunContext):
     return [fname], {"protocol": exp.protocol, "rms_residual_hz": rms}
 
 
+_COUPLING_HEADER = ["site", "shell", "theta_deg", "a_hz", "b_hz"]
+
+
+def _coupling_rows(sweep):
+    """One row per site and field angle, as written by ``lattice`` and
+    ``lattice-sweep``."""
+    return [(j, sweep.labels[j], float(th), sweep.a_hz[j, i],
+             sweep.b_hz[j, i])
+            for j in range(len(sweep.labels))
+            for i, th in enumerate(sweep.thetas)]
+
+
 def _run_lattice(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     model = load_structure(ctx.lattice_file)
@@ -254,12 +267,8 @@ def _run_lattice(exp: ExperimentConfig, ctx: RunContext):
                         theta_range=(p.get("theta_min", -1.0),
                                      p.get("theta_max", 1.0)),
                         n_points=int(p.get("theta_points", 21)))
-    rows = [(j, sweep.labels[j], float(th), sweep.a_hz[j, i], sweep.b_hz[j, i])
-            for j in range(len(sweep.labels))
-            for i, th in enumerate(sweep.thetas)]
     fname = f"{ctx.name}_couplings.csv"
-    _write_csv(ctx.outdir / fname,
-               ["site", "shell", "theta_deg", "a_hz", "b_hz"], rows)
+    _write_csv(ctx.outdir / fname, _COUPLING_HEADER, _coupling_rows(sweep))
     return [fname], {"protocol": exp.protocol, "n_sites": len(sweep.labels)}
 
 
@@ -277,34 +286,26 @@ PROTOCOLS = {
 }
 
 
-def _execute(cfg: RunConfig, config_bytes: bytes, parallel: int) -> Path:
+def _execute(cfg: RunConfig, config_bytes: bytes) -> Path:
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     system = build_system(cfg.system, cfg.cavity)
-
-    def one(i_exp):
-        i, exp = i_exp
-        runner = PROTOCOLS.get(exp.protocol)
-        if runner is None:
-            raise ConfigError(f"experiments[{i}].protocol",
-                              f"unknown protocol {exp.protocol!r}")
-        ctx = RunContext(sys=system, det=cfg.detector,
-                         seed=cfg.seed + 1000 * i, outdir=outdir,
-                         name=cfg.names[i], lattice_file=cfg.lattice_file)
-        files, summary = runner(exp, ctx)
-        summary_name = f"{cfg.names[i]}_summary.json"
-        with open(outdir / summary_name, "w") as fh:
-            json.dump({"name": cfg.names[i], **summary}, fh, sort_keys=True,
-                      indent=1)
-        return files + [summary_name]
-
     try:
-        jobs = list(enumerate(cfg.experiments))
-        if parallel > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=parallel) as pool:
-                file_lists = list(pool.map(one, jobs))
-        else:
-            file_lists = [one(job) for job in jobs]
+        file_lists = []
+        for i, exp in enumerate(cfg.experiments):
+            runner = PROTOCOLS.get(exp.protocol)
+            if runner is None:
+                raise ConfigError(f"experiments[{i}].protocol",
+                                  f"unknown protocol {exp.protocol!r}")
+            ctx = RunContext(sys=system, det=cfg.detector,
+                             seed=cfg.seed + 1000 * i, outdir=outdir,
+                             name=cfg.names[i], lattice_file=cfg.lattice_file)
+            files, summary = runner(exp, ctx)
+            summary_name = f"{cfg.names[i]}_summary.json"
+            with open(outdir / summary_name, "w") as fh:
+                json.dump({"name": cfg.names[i], **summary}, fh,
+                          sort_keys=True, indent=1)
+            file_lists.append(files + [summary_name])
         manifest = {
             "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
             "seed": cfg.seed,
@@ -346,18 +347,13 @@ def main():
 @click.argument("config_path", type=click.Path())
 @click.option("--seed", type=int, default=None,
               help="Override the config seed.")
-@click.option("--parallel", type=int, default=1, show_default=True,
-              help="Run independent experiments concurrently.")
-def run(config_path, seed, parallel):
+def run(config_path, seed):
     """Execute every experiment in CONFIG_PATH and write artifacts."""
     try:
         cfg = load_config(config_path)
         if seed is not None:
-            cfg = RunConfig(seed=seed, output=cfg.output, system=cfg.system,
-                            cavity=cfg.cavity, detector=cfg.detector,
-                            experiments=cfg.experiments,
-                            lattice_file=cfg.lattice_file, names=cfg.names)
-        outdir = _execute(cfg, Path(config_path).read_bytes(), parallel)
+            cfg = replace(cfg, seed=seed)
+        outdir = _execute(cfg, Path(config_path).read_bytes())
     except ConfigError as exc:
         _fail("config", exc)
     except Exception as exc:
@@ -414,7 +410,11 @@ def _parse_range(text):
 @click.option("--output", type=click.Path(), default=None,
               help="Write CSV here instead of stdout.")
 def lattice_sweep(structure, theta, beta, output):
-    """Tabulate per-site hyperfine couplings versus field angle."""
+    """Tabulate per-site hyperfine couplings versus field angle.
+
+    STRUCTURE is a plain-text structure file in the format of the bundled
+    CaWO4 data (jumpspec/data/cawo4.txt), which is used without it.
+    """
     try:
         lo, hi, n = _parse_range(theta)
         model = load_structure(structure)
@@ -424,17 +424,13 @@ def lattice_sweep(structure, theta, beta, output):
         _fail("config", exc)
     except Exception as exc:
         _fail("runtime", exc)
-    rows = [(j, sweep.labels[j], f"{th:.10g}",
-             f"{sweep.a_hz[j, i]:.10g}", f"{sweep.b_hz[j, i]:.10g}")
-            for j in range(len(sweep.labels))
-            for i, th in enumerate(sweep.thetas)]
-    header = ["site", "shell", "theta_deg", "a_hz", "b_hz"]
+    rows = _coupling_rows(sweep)
     if output:
-        _write_csv(Path(output), header, rows)
+        _write_csv(Path(output), _COUPLING_HEADER, rows)
     else:
-        click.echo(",".join(header))
+        click.echo(",".join(_COUPLING_HEADER))
         for row in rows:
-            click.echo(",".join(str(v) for v in row))
+            click.echo(",".join(str(_cell(v)) for v in row))
 
 
 if __name__ == "__main__":

@@ -186,8 +186,8 @@ class Trajectory:
 
 class _Decay:
     """Relaxation out of one level under one noise model: a photon-emitting
-    branch per radiative channel, plus a silent one wherever the system or
-    the noise model adds a non-radiative cross-relaxation rate.
+    branch per radiative channel, plus a silent one wherever the noise
+    model adds a non-radiative cross-relaxation rate.
     """
 
     __slots__ = ("rates", "dests", "labels", "photons", "total")
@@ -195,8 +195,7 @@ class _Decay:
     def __init__(self, sys: SpinSystem, level: int, noise: NoiseModel):
         self.rates, self.dests, self.labels, self.photons = [], [], [], []
         for ch in sys.channels[level]:
-            extra = (noise.extra_cross_rates.get(ch.transition.label, 0.0)
-                     + sys.extra_cross_rates.get(ch.transition.label, 0.0))
+            extra = noise.extra_cross_rates.get(ch.transition.label, 0.0)
             for rate, photon in ((ch.rate, True), (extra, False)):
                 if photon or rate > 0:
                     self.rates.append(rate)
@@ -219,42 +218,13 @@ class _Decay:
         return dest
 
 
-def _decay(sys: SpinSystem, level: int, noise: NoiseModel) -> _Decay:
-    """The system's memoised decay record of ``level`` under ``noise``."""
-    key = (noise, level)
-    decay = sys._memo.get(key)
-    if decay is None:
-        decay = sys._memo[key] = _Decay(sys, level, noise)
-    return decay
-
-
-def sample_relaxation(state: SystemState, dt: float, sys: SpinSystem, rng,
-                      noise: NoiseModel = NO_NOISE) -> list[JumpEvent]:
-    """Advance a population state by dt, sampling at most one jump.
-
-    Exact for a single excited level when dt spans the interval: the jump
-    occurs with probability 1 - exp(-Gamma_tot*dt) at a time drawn from
-    the conditional exponential distribution.
-    """
-    events: list[JumpEvent] = []
-    decay = _decay(sys, state.level, noise)
-    if decay.total <= 0:
-        state.time += dt
-        return events
-    u = rng.random()
-    if u < -math.expm1(-decay.total * dt):
-        # inverse-CDF draw; conditioning on u < p_jump keeps it inside dt
-        t_jump = state.time + (-math.log1p(-u)) / decay.total
-        state.level = decay.jump(t_jump, rng, events)
-        state.bloch = None
-        state.pair = None
-        # the new level may itself decay within the remaining time
-        remaining = state.time + dt - t_jump
-        state.time = t_jump
-        events += sample_relaxation(state, remaining, sys, rng, noise)
-        return events
-    state.time += dt
-    return events
+def _decays(sys: SpinSystem, noise: NoiseModel) -> list[_Decay]:
+    """The system's memoised decay records under ``noise``, one per level."""
+    decays = sys._memo.get(noise)
+    if decays is None:
+        decays = sys._memo[noise] = [_Decay(sys, level, noise)
+                                     for level in range(len(sys.levels))]
+    return decays
 
 
 def _collapse(state: SystemState, rng):
@@ -484,12 +454,13 @@ class _PulsePlan:
     candidate is too far off resonance to matter.
     """
 
-    __slots__ = ("sys", "noise", "by_level", "n_steps", "dt", "envelope",
-                 "phase", "frame", "t2_decay", "decays")
+    __slots__ = ("sys", "noise", "records", "by_level", "n_steps", "dt",
+                 "envelope", "phase", "frame", "t2_decay", "decays")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
         self.noise = noise
+        self.records = _decays(sys, noise)
         self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.phase = seg.phase
@@ -515,7 +486,7 @@ class _PulsePlan:
             drive = drives.get(best)
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
-                decay = _StepDecay(_decay(sys, best.upper, noise), self.dt)
+                decay = _StepDecay(self.records[best.upper], self.dt)
                 survival = ((1.0 - decay.p_step)
                             * self.t2_decay) ** self.n_steps
                 drive = drives[best] = _LevelDrive(
@@ -529,7 +500,7 @@ class _PulsePlan:
         """Decay of the upper level of an undriven coherence."""
         decay = self.decays.get(level)
         if decay is None:
-            decay = _StepDecay(_decay(self.sys, level, self.noise), self.dt)
+            decay = _StepDecay(self.records[level], self.dt)
             decay.survival = ((1.0 - decay.p_step)
                               ** np.arange(self.n_steps + 1))
             self.decays[level] = decay
@@ -560,7 +531,7 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     continues. A segment runs on one of three paths:
 
     - population mode, when no coherence is carried: plain relaxation
-      across the whole segment (``sample_relaxation``);
+      across the whole segment (``_relax``);
     - no-jump maps, when the noise is static: the closed form for an
       undriven coherence, the drive's tabulated cumulative maps for a
       driven one; one uniform per step is drawn and compared with the
@@ -797,9 +768,31 @@ def _leave_pair(state: SystemState, plan: _PulsePlan, remaining: float, rng,
 def _relax(state: SystemState, plan: _PulsePlan, duration: float,
            rng) -> list[JumpEvent]:
     """Population mode: plain relaxation, with the Ornstein--Uhlenbeck
-    and telegraph noise advanced over the same time."""
+    and telegraph noise advanced over the same time.
+
+    Exact for decay out of each occupied level: a level of total rate
+    Gamma jumps within the remaining time with probability
+    1 - exp(-Gamma*remaining), at a time drawn from the conditional
+    exponential distribution, and the new level may decay in turn.
+    """
     t0 = state.time
-    events = sample_relaxation(state, duration, plan.sys, rng, plan.noise)
+    events: list[JumpEvent] = []
+    while True:
+        decay = plan.records[state.level]
+        if decay.total <= 0:
+            break
+        u = rng.random()
+        if u >= -math.expm1(-decay.total * duration):
+            break
+        # inverse-CDF draw; conditioning on u < p_jump keeps it inside
+        # the remaining time
+        t_jump = state.time + (-math.log1p(-u)) / decay.total
+        state.level = decay.jump(t_jump, rng, events)
+        state.bloch = None
+        state.pair = None
+        duration = state.time + duration - t_jump
+        state.time = t_jump
+    state.time += duration
     _advance_noise(state, plan.noise, state.time - t0, rng)
     return events
 

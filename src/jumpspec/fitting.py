@@ -16,7 +16,7 @@ import numpy as np
 
 
 class FitError(RuntimeError):
-    """Optimizer failed to converge within the iteration budget."""
+    """A fit found no converged solution."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class FitResult:
 
 def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200,
                         lam0: float = 1e-3, gtol: float = 1e-10,
-                        xtol: float = 1e-12, raise_on_failure: bool = False):
+                        xtol: float = 1e-12) -> FitResult:
     """Minimize 0.5*||r(x)||^2 given residual_jac(x) -> (r, J).
 
     ``gtol`` is relative: convergence when ||J^T r|| < gtol * max(1, cost).
@@ -73,15 +73,10 @@ def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200,
             lam *= 10.0
             if lam > 1e14:
                 break
-    covariance = _covariance(jac, r)
-    result = FitResult(x=x, covariance=covariance, cost=cost,
-                       cost_history=np.array(history),
-                       grad_norm=float(np.linalg.norm(jac.T @ r)),
-                       n_iter=n_iter, converged=converged)
-    if raise_on_failure and not converged:
-        raise FitError(f"no convergence after {n_iter} iterations "
-                       f"(grad norm {result.grad_norm:.3e})")
-    return result
+    return FitResult(x=x, covariance=_covariance(jac, r), cost=cost,
+                     cost_history=np.array(history),
+                     grad_norm=float(np.linalg.norm(jac.T @ r)),
+                     n_iter=n_iter, converged=converged)
 
 
 def _covariance(jac, r):

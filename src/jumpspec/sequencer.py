@@ -31,6 +31,9 @@ TWO_PI = 2.0 * math.pi
 #: (numerically, the inversion profile is < 1e-6 past ~1/T)
 SKIP_CUTOFF_SCALE = 1.0
 
+#: wait between a spectroscopy pulse and its count window (s)
+BLANKING = 80e-6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -107,7 +110,7 @@ def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
                        det: DetectorParams, rng, *, center: float,
                        span_hz: float = 100e3, step_hz: float = 2e3,
                        n_averages: int = 200, pulse_fwhm: float = 80e-6,
-                       t_int: float = 2.0e-3, blanking: float = 80e-6,
+                       t_int: float = 2.0e-3,
                        noise: NoiseModel = NO_NOISE) -> Spectrum:
     """Pulsed spectrum around ``center``: pi pulse, blank, count window.
 
@@ -124,8 +127,7 @@ def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
         for i, d_hz in enumerate(deltas):
             carrier = center + TWO_PI * d_hz
             _pulse_or_wait(state, carrier, pulse_fwhm, sys, rng, noise)
-            if blanking > 0:
-                apply_pulse(state, wait(blanking), sys, rng, noise)
+            apply_pulse(state, wait(BLANKING), sys, rng, noise)
             c, _ = _detect(state, t_int, sys, det, rng, noise)
             counts[i] += c
     return Spectrum(delta_hz=deltas, counts=counts, center=center,
@@ -159,7 +161,6 @@ def readout_pair(sys: SpinSystem) -> tuple[Transition, Transition]:
 def single_shot_readout(state: SystemState, sys: SpinSystem,
                         det: DetectorParams, rng, *, n_ro: int = 1000,
                         t_d: float = 2.6e-3, pulse_fwhm: float = 80e-6,
-                        blanking: float = 0.0,
                         noise: NoiseModel = NO_NOISE) -> CountRecord:
     """Interleaved pi pulses on both allowed lines, counts per line.
 
@@ -176,8 +177,6 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
     for _ in range(n_ro):
         for which, trans in (("down", down), ("up", up)):
             _pulse_or_wait(state, trans.frequency, pulse_fwhm, sys, rng, noise)
-            if blanking > 0:
-                apply_pulse(state, wait(blanking), sys, rng, noise)
             c, _ = _detect(state, t_d, sys, det, rng, noise)
             if which == "down":
                 c_down += c
@@ -214,27 +213,25 @@ def forbidden_pi(sys: SpinSystem, branch: str, *,
 
 
 def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
-                n_prep: int = 2, tau_w: float | None = None,
-                omega_eff: float = TWO_PI * 15e3,
+                n_prep: int = 2, omega_eff: float = TWO_PI * 15e3,
                 noise: NoiseModel = NO_NOISE) -> list:
     """Polarize the nucleus by a forbidden pi-pulse train.
 
     ``target="d"`` pumps the zero-quantum line (excitation out of the
     nuclear-up ground level relaxes into nuclear-down); ``target="u"``
     pumps the double-quantum line. Each pulse is followed by a
-    relaxation wait ``tau_w`` (default 3 electron lifetimes).
+    relaxation wait of 3 electron lifetimes (1 ms without decay).
     """
     if target not in ("d", "u"):
         raise ValueError("target nuclear state must be 'd' or 'u'")
     branch = "zero_quantum" if target == "d" else "double_quantum"
     seg = forbidden_pi(sys, branch, omega_eff=omega_eff)
-    if tau_w is None:
-        gamma = sys.gamma_r
-        tau_w = 3.0 / gamma if gamma > 0 else 1e-3
+    gamma = sys.gamma_r
+    relax = wait(3.0 / gamma if gamma > 0 else 1e-3)
     events = []
     for _ in range(n_prep):
         events += apply_pulse(state, seg, sys, rng, noise)
-        events += apply_pulse(state, wait(tau_w), sys, rng, noise)
+        events += apply_pulse(state, relax, sys, rng, noise)
     return events
 
 
@@ -277,27 +274,25 @@ def rabi_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
                     transition: str, amplitude: float, durations,
                     n_averages: int = 100, t_int: float = 2.0e-3,
                     noise: NoiseModel = NO_NOISE) -> np.ndarray:
-    """Mean clicks after a square drive of each duration."""
+    """Mean clicks after a square drive of each duration (none at 0)."""
     trans = sys.transition(transition)
-    signal = np.zeros(len(durations))
-    for i, tau in enumerate(durations):
-        seg = PulseSegment(kind="square", frequency=trans.frequency,
-                           amplitude=amplitude, duration=tau)
-        for shot in range(n_averages):
-            rng = trajectory_rng(seed, i * n_averages + shot)
-            state = SystemState(level=trans.lower,
-                                shot_offset=noise.shot_offset(rng))
-            apply_pulse(state, seg, sys, rng, noise)
-            c, _ = _detect(state, t_int, sys, det, rng, noise)
-            signal[i] += c
-    return signal / n_averages
+
+    def schedule(tau):
+        if tau == 0:
+            return []
+        return [PulseSegment(kind="square", frequency=trans.frequency,
+                             amplitude=amplitude, duration=tau)]
+
+    return _interference_experiment(sys, det, seed, trans.lower, schedule,
+                                    durations, n_averages, t_int, noise)
 
 
-def _interference_experiment(sys, det, seed, schedule_fn, delays,
+def _interference_experiment(sys, det, seed, lower, schedule_fn, taus,
                              n_averages, t_int, noise):
-    trans_lower, signal = None, np.zeros(len(delays))
-    for i, tau in enumerate(delays):
-        schedule, lower = schedule_fn(tau)
+    """Mean clicks after ``schedule_fn(tau)`` from level ``lower``, per tau."""
+    signal = np.zeros(len(taus))
+    for i, tau in enumerate(taus):
+        schedule = schedule_fn(tau)
         for shot in range(n_averages):
             rng = trajectory_rng(seed, i * n_averages + shot)
             state = SystemState(level=lower,
@@ -320,13 +315,12 @@ def ramsey_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
 
     def schedule(tau):
         half = math.pi / 2.0
-        return ([gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half),
-                 wait(tau, frame_frequency=carrier),
-                 gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half)],
-                trans.lower)
+        return [gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half),
+                wait(tau, frame_frequency=carrier),
+                gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half)]
 
-    return _interference_experiment(sys, det, seed, schedule, delays,
-                                    n_averages, t_int, noise)
+    return _interference_experiment(sys, det, seed, trans.lower, schedule,
+                                    delays, n_averages, t_int, noise)
 
 
 def echo_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
@@ -340,15 +334,14 @@ def echo_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
 
     def schedule(tau):
         half = math.pi / 2.0
-        return ([gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half),
-                 wait(tau / 2.0, frame_frequency=carrier),
-                 gaussian_pi(carrier, fwhm=pulse_fwhm),
-                 wait(tau / 2.0, frame_frequency=carrier),
-                 gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half)],
-                trans.lower)
+        return [gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half),
+                wait(tau / 2.0, frame_frequency=carrier),
+                gaussian_pi(carrier, fwhm=pulse_fwhm),
+                wait(tau / 2.0, frame_frequency=carrier),
+                gaussian_pi(carrier, fwhm=pulse_fwhm, rotation=half)]
 
-    return _interference_experiment(sys, det, seed, schedule, delays,
-                                    n_averages, t_int, noise)
+    return _interference_experiment(sys, det, seed, trans.lower, schedule,
+                                    delays, n_averages, t_int, noise)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +359,6 @@ class TrackerState:
     i_gain: float
     f: float = 2000.0
     tau: float = 25e-6
-    n_track: int = 10
     y: float = 0.0
     integral: float = 0.0
 

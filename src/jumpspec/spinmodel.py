@@ -134,7 +134,6 @@ class SpinSystem:
     levels: tuple[tuple[int, str], ...]
     transitions: tuple[Transition, ...]
     channels: tuple[tuple[DecayChannel, ...], ...]
-    extra_cross_rates: dict = field(default_factory=dict)
     # the jump engine's pulse plans and decay records (see dynamics)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
@@ -182,20 +181,18 @@ class SpinSystem:
         return self._eta("zero_quantum")
 
     def _cross_rate(self, label: str) -> float:
-        base = next(
+        return next(
             (ch.rate for chans in self.channels for ch in chans
              if ch.transition.label == label),
             0.0,
         )
-        return base + self.extra_cross_rates.get(label, 0.0)
 
     def _eta(self, label: str) -> float:
         for chans in self.channels:
             for ch in chans:
                 if ch.transition.label == label:
-                    gx = ch.rate + self.extra_cross_rates.get(label, 0.0)
-                    tot = sum(c.rate for c in chans) + self.extra_cross_rates.get(label, 0.0)
-                    return gx / tot if tot > 0 else 0.0
+                    tot = sum(c.rate for c in chans)
+                    return ch.rate / tot if tot > 0 else 0.0
         return 0.0
 
 
@@ -262,8 +259,7 @@ def _product_labels(n_nuclei: int):
     return labels
 
 
-def build_system(p: SpinParams, c: CavityParams,
-                 extra_cross_rates: dict | None = None) -> SpinSystem:
+def build_system(p: SpinParams, c: CavityParams) -> SpinSystem:
     """Diagonalize the coupled system and label transitions and rates.
 
     Eigenlevels are labeled by maximum overlap with the uncoupled product
@@ -317,7 +313,6 @@ def build_system(p: SpinParams, c: CavityParams,
         params=p, cavity=c, energies=energies, eigenvectors=vecs,
         levels=levels, transitions=tuple(transitions),
         channels=tuple(channels),
-        extra_cross_rates=dict(extra_cross_rates or {}),
     )
 
 

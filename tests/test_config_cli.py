@@ -2,12 +2,14 @@
 
 import json
 import math
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from jumpspec.cli import main
-from jumpspec.config import ConfigError, parse_config, parse_quantity
+from jumpspec.config import (ConfigError, load_config, parse_config,
+                             parse_quantity)
 
 MINIMAL = """
 seed: 3
@@ -147,17 +149,46 @@ def test_run_seed_override_changes_manifest(tmp_path):
     assert manifest["seed"] == 99
 
 
-def test_parallel_matches_sequential(tmp_path):
-    exps = ("[{name: s1, protocol: lattice, params: {theta_points: 4}}, "
-            "{name: s2, protocol: lattice, params: {theta_points: 6}}]")
-    for sub, extra in (("seq", []), ("par", ["--parallel", "2"])):
-        cfg_file = tmp_path / f"{sub}.yaml"
-        cfg_file.write_text(config_text(out=str(tmp_path / sub),
-                                        experiments=exps))
-        result = CliRunner().invoke(main, ["run", str(cfg_file)] + extra)
+def test_rabi_default_grid_runs(tmp_path):
+    """The default tau grid starts at 0, which is a shot with no pulse."""
+    exps = "[{name: nut, protocol: rabi}]"
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "out" / "nut_rabi.csv").read_text().splitlines()
+    assert rows[0] == "tau_s,mean_counts" and rows[1].startswith("0,")
+    assert len(rows) == 1 + 21
+
+
+SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
+    "*.yaml"))
+
+
+@pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.stem)
+def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
+    """Every shipped config runs from its own relative output path and
+    reports; the two-experiment trace config reproduces byte for byte."""
+    output = load_config(config).output
+    runs = ("a", "b") if config.stem == "trace" else ("a",)
+    for sub in runs:
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        result = CliRunner().invoke(main, ["run", str(config)])
         assert result.exit_code == 0, result.output
-    for f in sorted((tmp_path / "seq").glob("*.csv")):
-        assert (tmp_path / "par" / f.name).read_bytes() == f.read_bytes()
+        result = CliRunner().invoke(main, ["report", output])
+        assert result.exit_code == 0, result.output
+
+    def data_files(sub):
+        return {f.name: f.read_bytes()
+                for f in (tmp_path / sub / output).iterdir()
+                if f.name != "manifest.json"}
+
+    first = data_files(runs[0])
+    assert first
+    for sub in runs[1:]:
+        assert data_files(sub) == first
 
 
 def test_spectroscopy_fit_error_is_recorded(tmp_path, monkeypatch):

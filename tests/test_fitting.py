@@ -35,13 +35,13 @@ def test_cost_history_is_monotone():
     assert res.cost == hist[-1]
 
 
-def test_raise_on_failure():
+def test_nan_residual_does_not_converge():
     def bad(x):
         return np.array([math.nan]), np.array([[1.0]])
 
-    with pytest.raises(fitting.FitError):
-        fitting.levenberg_marquardt(bad, np.array([1.0]), max_iter=3,
-                                    raise_on_failure=True)
+    res = fitting.levenberg_marquardt(bad, np.array([1.0]), max_iter=3)
+    assert not res.converged
+    assert res.n_iter == 3
 
 
 @pytest.mark.parametrize("model,p", [

@@ -10,9 +10,10 @@ from jumpspec import sequencer
 from jumpspec.detector import DetectorParams
 from jumpspec.dynamics import SystemState, trajectory_rng
 from jumpspec.sequencer import (TrackerState, dnp_prepare, eldor_scan,
-                                forbidden_pi, readout_pair, run_tracking,
-                                single_shot_readout, spectroscopy_sweep,
-                                trace_experiment, track_step)
+                                forbidden_pi, rabi_experiment, readout_pair,
+                                run_tracking, single_shot_readout,
+                                spectroscopy_sweep, trace_experiment,
+                                track_step)
 from jumpspec.spinmodel import CavityParams, SpinParams, build_system
 
 TWO_PI = 2.0 * math.pi
@@ -144,6 +145,22 @@ def test_eldor_transfer_at_shifted_line_vanishing_at_zero_duration(system):
     assert driven[0] > 0.7
     assert undriven[0] < 0.35
     assert driven[0] - undriven[0] > 0.4
+
+
+def test_rabi_zero_duration_is_no_pulse(system):
+    """A zero-length drive leaves the lower level dark (no dark counts
+    here); a pi drive of the same amplitude lights it up."""
+    from jumpspec.spinmodel import drive_filter
+    det = DetectorParams(gamma_dc=0.0)
+    trans = system.transition("allowed_d")
+    amp = TWO_PI * 50e3
+    omega = amp * 2.0 * trans.matrix_element * drive_filter(
+        system.cavity, trans.frequency - system.cavity.omega_0)
+    signal = rabi_experiment(system, det, 4, transition="allowed_d",
+                             amplitude=amp, durations=[0.0, math.pi / omega],
+                             n_averages=100)
+    assert signal[0] == 0.0
+    assert signal[1] > 0.05
 
 
 def test_tracker_null_input_gives_zero_corrections():
