@@ -17,6 +17,8 @@ import csv
 import hashlib
 import json
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -49,9 +51,10 @@ def _cell(v):
     return f"{v:.10g}" if isinstance(v, float) else v
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
+def _write_csv(path: Path | None, header: list[str], rows) -> None:
+    """Write a table with LF line ends to ``path``, or to stdout if None."""
+    with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow([_cell(v) for v in row])
@@ -158,7 +161,6 @@ def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
     deltas = _grid(p, "delta", -820e3, -760e3, 13)
     p_down = sequencer.eldor_scan(
         ctx.sys, ctx.det, ctx.seed,
-        branch=p.get("branch", "double_quantum"),
         deltas_hz=deltas,
         amplitude=TWO_PI * p.get("amplitude", 200e3),
         duration=p.get("duration", 50e-6),
@@ -424,13 +426,8 @@ def lattice_sweep(structure, theta, beta, output):
         _fail("config", exc)
     except Exception as exc:
         _fail("runtime", exc)
-    rows = _coupling_rows(sweep)
-    if output:
-        _write_csv(Path(output), _COUPLING_HEADER, rows)
-    else:
-        click.echo(",".join(_COUPLING_HEADER))
-        for row in rows:
-            click.echo(",".join(str(_cell(v)) for v in row))
+    _write_csv(Path(output) if output else None, _COUPLING_HEADER,
+               _coupling_rows(sweep))
 
 
 if __name__ == "__main__":

@@ -8,12 +8,11 @@ cross-relaxation branches — are sampled as stochastic jumps, each
 emitting one cavity photon; photon loss is the detector's business.
 
 A segment propagates on one of three paths (see ``apply_pulse``):
-population mode when no coherence is carried; no-jump maps when the
-noise is static, in closed form for free evolution and from cumulative
-4x4 maps tabulated once per drive for driven segments, both linear on
-the unnormalised state (Dalibard, Castin & Mølmer, PRL 68, 580, 1992);
-and the per-step Bloch loop, which is kept for Ornstein--Uhlenbeck and
-telegraph noise, for drives under a per-shot detuning and for driven
+population mode when no coherence is carried; no-jump maps, in closed
+form for free evolution and from cumulative 4x4 maps tabulated once per
+drive for driven segments, both linear on the unnormalised state
+(Dalibard, Castin & Mølmer, PRL 68, 580, 1992); and the per-step Bloch
+loop, which is kept for drives under a per-shot detuning and for driven
 segments whose no-jump survival is below 1e-6. The maps draw the loop's
 per-step uniforms and make its comparisons, so the loop is their
 reference in the tests. Plans and decay records are memoised by value
@@ -21,16 +20,15 @@ on the ``SpinSystem`` they belong to, so they are freed with it. Threads
 sharing a system may build an entry twice; entries depend only on their
 key, so either copy serves.
 
-Optional noise channels (all off by default): static per-shot detuning
-reproducing an exponential Ramsey envelope, Markovian transverse decay,
-Ornstein--Uhlenbeck drift of the electron frequency, telegraph jumps,
-and an additive non-radiative cross-relaxation rate on one branch.
+Optional dephasing (off by default): a static per-shot detuning
+reproducing an exponential Ramsey envelope (t2*), and Markovian
+transverse decay (t2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -126,21 +124,11 @@ class NoiseModel:
 
     ``t2_star`` draws a static detuning per shot from a Lorentzian of
     HWHM 1/t2_star, giving the observed exponential Ramsey envelope.
-    ``t2`` applies Markovian transverse decay during evolution. The
-    Ornstein--Uhlenbeck channel drifts the electron frequency with
-    stationary std ``ou_sigma`` (rad/s) and correlation time ``ou_tau``;
-    the telegraph channel toggles a +/- ``telegraph_shift`` offset at
-    rate ``telegraph_rate``. ``extra_cross_rates`` adds a non-radiative
-    rate (1/s) to the named cross-relaxation branch.
+    ``t2`` applies Markovian transverse decay during evolution.
     """
 
     t2_star: float | None = None
     t2: float | None = None
-    ou_sigma: float = 0.0
-    ou_tau: float = 1.0
-    telegraph_rate: float = 0.0
-    telegraph_shift: float = 0.0
-    extra_cross_rates: dict = field(default_factory=dict, hash=False)
 
     def shot_offset(self, rng) -> float:
         if not self.t2_star:
@@ -160,13 +148,11 @@ class SystemState:
     bloch: np.ndarray | None = None          # (x, y, z) of the driven pair
     pair: tuple[int, int] | None = None      # (lower, upper) eigenlevel indices
     shot_offset: float = 0.0                 # static detuning this shot (rad/s)
-    ou_value: float = 0.0
-    telegraph_sign: int = 1
 
 
 @dataclass(frozen=True)
 class JumpEvent:
-    """A relaxation jump; radiative jumps emit one cavity photon."""
+    """A relaxation jump; every jump is radiative and emits one photon."""
 
     time: float
     label: str
@@ -185,23 +171,16 @@ class Trajectory:
 
 
 class _Decay:
-    """Relaxation out of one level under one noise model: a photon-emitting
-    branch per radiative channel, plus a silent one wherever the noise
-    model adds a non-radiative cross-relaxation rate.
-    """
+    """Relaxation out of one level: one photon-emitting branch per
+    radiative channel."""
 
-    __slots__ = ("rates", "dests", "labels", "photons", "total")
+    __slots__ = ("rates", "dests", "labels", "total")
 
-    def __init__(self, sys: SpinSystem, level: int, noise: NoiseModel):
-        self.rates, self.dests, self.labels, self.photons = [], [], [], []
-        for ch in sys.channels[level]:
-            extra = noise.extra_cross_rates.get(ch.transition.label, 0.0)
-            for rate, photon in ((ch.rate, True), (extra, False)):
-                if photon or rate > 0:
-                    self.rates.append(rate)
-                    self.dests.append(ch.transition.lower)
-                    self.labels.append(ch.transition.label)
-                    self.photons.append(photon)
+    def __init__(self, sys: SpinSystem, level: int):
+        channels = sys.channels[level]
+        self.rates = [ch.rate for ch in channels]
+        self.dests = [ch.transition.lower for ch in channels]
+        self.labels = [ch.transition.label for ch in channels]
         self.total = sum(self.rates)
 
     def jump(self, time, rng, events) -> int:
@@ -209,21 +188,21 @@ class _Decay:
         u = rng.random() * self.total
         acc = 0.0
         # past the end (rounding), the last branch is taken
-        for rate, dest, label, photon in zip(self.rates, self.dests,
-                                             self.labels, self.photons):
+        for rate, dest, label in zip(self.rates, self.dests, self.labels):
             acc += rate
             if u <= acc:
                 break
-        events.append(JumpEvent(time=time, label=label, photon=photon))
+        events.append(JumpEvent(time=time, label=label))
         return dest
 
 
-def _decays(sys: SpinSystem, noise: NoiseModel) -> list[_Decay]:
-    """The system's memoised decay records under ``noise``, one per level."""
-    decays = sys._memo.get(noise)
+def _decays(sys: SpinSystem) -> list[_Decay]:
+    """The system's memoised decay records, one per level (memo key
+    ``_Decay``; plan keys are tuples)."""
+    decays = sys._memo.get(_Decay)
     if decays is None:
-        decays = sys._memo[noise] = [_Decay(sys, level, noise)
-                                     for level in range(len(sys.levels))]
+        decays = sys._memo[_Decay] = [_Decay(sys, level)
+                                      for level in range(len(sys.levels))]
     return decays
 
 
@@ -454,13 +433,12 @@ class _PulsePlan:
     candidate is too far off resonance to matter.
     """
 
-    __slots__ = ("sys", "noise", "records", "by_level", "n_steps", "dt",
-                 "envelope", "phase", "frame", "t2_decay", "decays")
+    __slots__ = ("sys", "records", "by_level", "n_steps", "dt", "envelope",
+                 "phase", "frame", "t2_decay", "decays")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
-        self.noise = noise
-        self.records = _decays(sys, noise)
+        self.records = _decays(sys)
         self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.phase = seg.phase
@@ -532,15 +510,13 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
 
     - population mode, when no coherence is carried: plain relaxation
       across the whole segment (``_relax``);
-    - no-jump maps, when the noise is static: the closed form for an
-      undriven coherence, the drive's tabulated cumulative maps for a
-      driven one; one uniform per step is drawn and compared with the
-      step's hazard, as in the step loop, so events, levels and random
-      stream match it up to rounding;
-    - the per-step loop, kept for Ornstein--Uhlenbeck or telegraph noise
-      (the detuning changes every step), for drives under a per-shot
-      ``t2_star`` detuning (a table per shot would not be reused), and
-      for driven segments too lossy for the tables' precision.
+    - no-jump maps: the closed form for an undriven coherence, the
+      drive's tabulated cumulative maps for a driven one; one uniform per
+      step is drawn and compared with the step's hazard, as in the step
+      loop, so events, levels and random stream match it up to rounding;
+    - the per-step loop, kept for drives under a per-shot ``t2_star``
+      detuning (a table per shot would not be reused) and for driven
+      segments too lossy for the tables' precision.
 
     A jump is stamped at the midpoint of the step it falls in.
     """
@@ -550,12 +526,10 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     drive = _enter(state, seg, plan, rng)
     if state.pair is None or state.bloch is None:
         return _relax(state, plan, seg.wall_time, rng)
-    if noise.ou_sigma > 0 or noise.telegraph_rate > 0 or (
-            drive is not None
-            and (state.shot_offset != 0.0 or not drive.tabulable)):
-        return _step_loop(state, seg, plan, drive, rng)
     if drive is None:
         return _free_map(state, seg, plan, rng)
+    if state.shot_offset != 0.0 or not drive.tabulable:
+        return _step_loop(state, seg, plan, drive, rng)
     return _table_map(state, seg, plan, drive, rng)
 
 
@@ -683,10 +657,8 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
     (Rodrigues), applies the t2 factor, and compares one pre-drawn
     uniform with the step's jump hazard; without a jump the conditional
     no-jump map of amplitude damping renormalises the state, so jump
-    timing from a partially excited state stays exact. The
-    Ornstein--Uhlenbeck and telegraph channels advance every step.
+    timing from a partially excited state stays exact.
     """
-    noise = plan.noise
     lower, upper = state.pair
     if drive is not None:
         decay, trans_freq = drive.decay, drive.trans.frequency
@@ -699,23 +671,15 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
     n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
     t2_decay = plan.t2_decay
     frame = plan.frame
-    dynamic_noise = noise.ou_sigma > 0 or noise.telegraph_rate > 0
     uniforms = rng.random(n_steps) if decay.record.total > 0 else None
     x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
                float(state.bloch[2]))
-    base_detuning = (frame - trans_freq - state.shot_offset
-                     if frame != 0.0 else 0.0)
-    detuning = base_detuning
+    detuning = (frame - trans_freq - state.shot_offset
+                if frame != 0.0 else 0.0)
     cphi, sphi = math.cos(plan.phase), math.sin(plan.phase)
     t0 = state.time
     events: list[JumpEvent] = []
     for i in range(n_steps):
-        if dynamic_noise:
-            _advance_noise(state, noise, dt, rng)
-            if frame != 0.0:
-                detuning = base_detuning - state.ou_value
-                if noise.telegraph_rate > 0:
-                    detuning -= state.telegraph_sign * noise.telegraph_shift
         env_i = envelope[i]
         wx = omega_peak * env_i
         wy = wx * sphi
@@ -767,15 +731,13 @@ def _leave_pair(state: SystemState, plan: _PulsePlan, remaining: float, rng,
 
 def _relax(state: SystemState, plan: _PulsePlan, duration: float,
            rng) -> list[JumpEvent]:
-    """Population mode: plain relaxation, with the Ornstein--Uhlenbeck
-    and telegraph noise advanced over the same time.
+    """Population mode: plain relaxation.
 
     Exact for decay out of each occupied level: a level of total rate
     Gamma jumps within the remaining time with probability
     1 - exp(-Gamma*remaining), at a time drawn from the conditional
     exponential distribution, and the new level may decay in turn.
     """
-    t0 = state.time
     events: list[JumpEvent] = []
     while True:
         decay = plan.records[state.level]
@@ -793,24 +755,12 @@ def _relax(state: SystemState, plan: _PulsePlan, duration: float,
         duration = state.time + duration - t_jump
         state.time = t_jump
     state.time += duration
-    _advance_noise(state, plan.noise, state.time - t0, rng)
     return events
 
 
 def _pair_frequency(sys: SpinSystem, pair) -> float:
     lower, upper = pair
     return float(sys.energies[upper] - sys.energies[lower])
-
-
-def _advance_noise(state: SystemState, noise: NoiseModel, dt: float, rng):
-    if noise.ou_sigma > 0:
-        decay = math.exp(-dt / noise.ou_tau)
-        state.ou_value = (state.ou_value * decay
-                          + noise.ou_sigma * math.sqrt(1 - decay * decay)
-                          * rng.standard_normal())
-    if noise.telegraph_rate > 0:
-        if rng.random() < -math.expm1(-noise.telegraph_rate * dt):
-            state.telegraph_sign = -state.telegraph_sign
 
 
 def evolve_free(state: SystemState, duration: float, sys: SpinSystem, rng,

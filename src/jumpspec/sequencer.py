@@ -236,8 +236,7 @@ def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
 
 
 def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
-               branch: str = "double_quantum", deltas_hz,
-               amplitude: float, duration: float, edge: float = 5e-6,
+               deltas_hz, amplitude: float, duration: float, edge: float = 5e-6,
                prepare: str = "d", n_prep: int = 3,
                n_shots: int = 50, n_ro: int = 120, t_d: float = 2.6e-3,
                noise: NoiseModel = NO_NOISE) -> np.ndarray:

@@ -290,7 +290,7 @@ def build_system(p: SpinParams, c: CavityParams) -> SpinSystem:
             flips = tuple(k for k in range(n) if ni[k] != nj[k])
             freq = energies[i] - energies[j]
             m = abs(sx[i, j])
-            label = _transition_label(ni, nj, flips, n)
+            label = _transition_label(nj, flips, n)
             transitions.append(
                 Transition(label=label, lower=j, upper=i, frequency=freq,
                            matrix_element=m, nuclear_flips=flips))
@@ -316,7 +316,7 @@ def build_system(p: SpinParams, c: CavityParams) -> SpinSystem:
     )
 
 
-def _transition_label(nuc_upper: str, nuc_lower: str, flips, n_nuclei: int) -> str:
+def _transition_label(nuc_lower: str, flips, n_nuclei: int) -> str:
     if not flips:
         if n_nuclei == 0:
             return "allowed"

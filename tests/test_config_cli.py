@@ -169,7 +169,8 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.stem)
 def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
     """Every shipped config runs from its own relative output path and
-    reports; the two-experiment trace config reproduces byte for byte."""
+    reports; the two-experiment trace config reproduces byte for byte, and
+    the readout config yields the threshold and fidelity it promises."""
     output = load_config(config).output
     runs = ("a", "b") if config.stem == "trace" else ("a",)
     for sub in runs:
@@ -189,6 +190,10 @@ def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
     assert first
     for sub in runs[1:]:
         assert data_files(sub) == first
+    if config.stem == "readout":
+        summary = json.loads(first["readout_summary.json"])
+        assert summary.get("threshold") is not None
+        assert summary.get("fidelity") is not None
 
 
 def test_spectroscopy_fit_error_is_recorded(tmp_path, monkeypatch):
@@ -229,11 +234,16 @@ def test_report_missing_manifest_errors(tmp_path):
 
 
 def test_lattice_sweep_command(tmp_path):
-    result = CliRunner().invoke(
-        main, ["lattice-sweep", "--theta", "-0.5:0.5:3", "--beta", "0.1"])
+    args = ["lattice-sweep", "--theta", "-0.5:0.5:3", "--beta", "0.1"]
+    result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     lines = result.output.strip().splitlines()
     assert lines[0] == "site,shell,theta_deg,a_hz,b_hz"
     assert len(lines) == 1 + 10 * 3
+    # --output writes the same bytes, LF line ends included
+    out = tmp_path / "sweep.csv"
+    written = CliRunner().invoke(main, args + ["--output", str(out)])
+    assert written.exit_code == 0, written.output
+    assert out.read_bytes() == result.stdout_bytes
     bad = CliRunner().invoke(main, ["lattice-sweep", "--theta", "oops"])
     assert bad.exit_code == 1

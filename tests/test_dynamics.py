@@ -207,30 +207,6 @@ def test_static_offset_detunes_the_pulse(system):
     assert p_up < 0.01
 
 
-def test_telegraph_offset_applies(system):
-    t = system.transition("allowed_d")
-    noise = NoiseModel(telegraph_rate=1e-9, telegraph_shift=TWO_PI * 40e3)
-    state = SystemState(level=t.lower)
-    apply_pulse(state, gaussian_pi(t.frequency), system,
-                trajectory_rng(19, 0), noise)
-    assert 0.5 * (1.0 + state.bloch[2]) < 0.01
-
-
-def test_extra_cross_rate_adds_nonradiative_jumps(system):
-    noise = NoiseModel(extra_cross_rates={"zero_quantum": 5000.0})
-    photons, silent = 0, 0
-    upper = system.transition("zero_quantum").upper
-    for i in range(300):
-        rng = trajectory_rng(20, i)
-        state = SystemState(level=upper)
-        for e in evolve_free(state, 10e-3, system, rng, noise):
-            if e.photon:
-                photons += 1
-            else:
-                silent += 1
-    assert silent > 0 and photons > 0
-
-
 def test_driven_forbidden_transition_needs_shifted_carrier(system):
     """A strong forbidden drive shifts its own resonance; driving at the
     static frequency misses, at the solver-predicted frequency it flips."""
@@ -417,30 +393,21 @@ def test_memo_is_freed_with_its_system():
     assert ref() is None
 
 
-def test_dynamic_noise_advances_over_the_whole_segment(fast_system,
-                                                       monkeypatch):
-    """A jump out of the driven pair leaves the rest of the segment to
-    population mode; the Ornstein--Uhlenbeck noise still advances over
-    all of it."""
-    t = fast_system.transition("allowed_d")
-    seg = gaussian_pi(t.frequency)
-    noise = NoiseModel(ou_sigma=1e3, ou_tau=1e-3)
-    advanced = []
-    advance = dyn._advance_noise
-
-    def record(state, noise, dt, rng):
-        advanced.append(dt)
-        advance(state, noise, dt, rng)
-
-    monkeypatch.setattr(dyn, "_advance_noise", record)
-    left = 0
-    for i in range(2000):
-        advanced.clear()
-        state = SystemState(level=t.lower)
-        apply_pulse(state, seg, fast_system, trajectory_rng(3, i), noise)
-        assert sum(advanced) == pytest.approx(seg.wall_time, rel=1e-9), i
-        left += state.pair is None
-    assert left > 0          # some shots did leave the pair
+def test_decay_records_are_shared_across_noise_models():
+    """Relaxation does not depend on the dephasing: the plans of one
+    system under every noise model read one list of decay records."""
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+    t = sys.transition("allowed_d")
+    rng = trajectory_rng(27, 0)
+    for noise in (NoiseModel(), NoiseModel(t2=200e-6),
+                  NoiseModel(t2_star=100e-6)):
+        state = SystemState(level=t.lower, shot_offset=noise.shot_offset(rng))
+        apply_pulse(state, gaussian_pi(t.frequency), sys, rng, noise)
+        apply_pulse(state, wait(1e-3), sys, rng, noise)
+    plans = [v for v in sys._memo.values() if isinstance(v, dyn._PulsePlan)]
+    assert len(plans) == 6
+    assert all(plan.records is plans[0].records for plan in plans)
 
 
 def test_lossy_drive_keeps_step_loop_precision(fast_system):

@@ -136,7 +136,7 @@ def test_eldor_transfer_at_shifted_line_vanishing_at_zero_duration(system):
     shifted = ac_zeeman_frequencies(p, amp * filt)[1] / TWO_PI
     omega_zd = forbidden_rabi(amp, p, system.cavity, zq_off)
     duration = math.pi / omega_zd
-    kwargs = dict(branch="zero_quantum", deltas_hz=[shifted],
+    kwargs = dict(deltas_hz=[shifted],
                   amplitude=amp, prepare="u", n_prep=2,
                   n_shots=24, n_ro=150)
     driven = eldor_scan(system, det, 6, duration=duration, **kwargs)

@@ -1,0 +1,45 @@
+"""Checks on the package source itself, read as syntax trees."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "jumpspec"
+
+
+def unread_parameters(source: str) -> list[str]:
+    """``name(param) line N`` for each parameter of a ``def`` that its body
+    never reads.
+
+    ``self``, ``cls`` and names starting with ``_`` are exempt. A read in
+    a nested function or lambda counts, since closures use their
+    enclosing function's parameters. Lambdas are not checked: their
+    signature is set by whoever calls them (``lambda t: drift``).
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        params += [a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        found += [f"{node.name}({a.arg}) line {node.lineno}" for a in params
+                  if a.arg not in ("self", "cls")
+                  and not a.arg.startswith("_") and a.arg not in read]
+    return found
+
+
+def test_checker_flags_an_unread_parameter():
+    source = ("def f(a, b, *, c, _d, **e):\n"
+              "    def g(self, h):\n"
+              "        return a\n"
+              "    return (lambda x, y: c)(1, 2)\n")
+    assert unread_parameters(source) == ["f(b) line 1", "f(e) line 1",
+                                         "g(h) line 2"]
+
+
+def test_every_parameter_is_read():
+    found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in unread_parameters(path.read_text())]
+    assert found == []
