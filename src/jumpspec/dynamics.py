@@ -763,14 +763,6 @@ def _pair_frequency(sys: SpinSystem, pair) -> float:
     return float(sys.energies[upper] - sys.energies[lower])
 
 
-def evolve_free(state: SystemState, duration: float, sys: SpinSystem, rng,
-                noise: NoiseModel = NO_NOISE,
-                frame_frequency: float = 0.0) -> list[JumpEvent]:
-    """Relaxation (and coherent precession, if any) with the drive off."""
-    seg = PulseSegment(kind="wait", frequency=frame_frequency, duration=duration)
-    return apply_pulse(state, seg, sys, rng, noise)
-
-
 def trajectory_rng(seed: int, index: int):
     """Counter-based stream: independent per trajectory, reproducible."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))

@@ -9,7 +9,6 @@ norm to drop below a scaled tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,20 +138,6 @@ def multi_lorentzian(x, p):
     return val, jac
 
 
-def gaussian(x, p):
-    """p = (center, sigma, amplitude, offset)."""
-    center, sigma, amp, off = p
-    u = (x - center) / sigma
-    e = np.exp(-0.5 * u * u)
-    val = off + amp * e
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = amp * e * u / sigma
-    jac[:, 1] = amp * e * u * u / sigma
-    jac[:, 2] = e
-    jac[:, 3] = 1.0
-    return val, jac
-
-
 def double_gaussian(x, p):
     """p = (c1, s1, a1, c2, s2, a2): sum of two Gaussians, no offset."""
     val = np.zeros(x.size)
@@ -165,35 +150,6 @@ def double_gaussian(x, p):
         jac[:, 3 * k] = amp * e * u / sigma
         jac[:, 3 * k + 1] = amp * e * u * u / sigma
         jac[:, 3 * k + 2] = e
-    return val, jac
-
-
-def exponential_decay(x, p):
-    """p = (amplitude, tau, offset): offset + amplitude*exp(-x/tau)."""
-    amp, tau, off = p
-    e = np.exp(-x / tau)
-    val = off + amp * e
-    jac = np.empty((x.size, 3))
-    jac[:, 0] = e
-    jac[:, 1] = amp * e * x / tau ** 2
-    jac[:, 2] = 1.0
-    return val, jac
-
-
-def damped_cosine(x, p):
-    """p = (amplitude, frequency Hz, phase, tau, offset)."""
-    amp, freq, phase, tau, off = p
-    w = 2.0 * math.pi * freq
-    e = np.exp(-x / tau)
-    c = np.cos(w * x + phase)
-    s = np.sin(w * x + phase)
-    val = off + amp * e * c
-    jac = np.empty((x.size, 5))
-    jac[:, 0] = e * c
-    jac[:, 1] = -amp * e * s * 2.0 * math.pi * x
-    jac[:, 2] = -amp * e * s
-    jac[:, 3] = amp * e * c * x / tau ** 2
-    jac[:, 4] = 1.0
     return val, jac
 
 

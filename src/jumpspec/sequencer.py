@@ -5,10 +5,11 @@ readout, ELDOR-style forbidden-transition scans, nuclear polarization by
 forbidden pulse trains, Rabi/Ramsey/echo characterization, and the
 closed-loop frequency tracker.
 
-Pulses far outside the spectral bandwidth of the addressed transition
-are replaced by equal-length waits (their excitation probability is
-below 1e-6), which keeps long sweeps affordable without touching the
-physics near resonance.
+Each protocol compiles its schedule (a tuple of segments) once per call
+and runs every shot through :func:`_run`. Compiling applies the skip
+rule: a pulse with no transition within its bandwidth (excitation below
+1e-6) becomes an equal-length wait, which keeps long sweeps affordable
+without touching the physics near resonance.
 """
 
 from __future__ import annotations
@@ -77,33 +78,37 @@ class CountRecord:
         return self.c_down - self.c_up
 
 
-def _nearest_distance(sys: SpinSystem, carrier: float) -> float:
-    return min(abs(t.frequency - carrier) for t in sys.transitions)
+def _pulse(sys: SpinSystem, carrier: float, fwhm: float) -> PulseSegment:
+    """Gaussian pi pulse at ``carrier``, or a wait of the same length.
 
-
-def _pulse_or_wait(state, carrier, fwhm, sys, rng, noise):
-    """Gaussian pi pulse, skipped when no transition is within bandwidth.
-
-    A carrier that cannot be addressed unambiguously (two lines within
-    the resolution band) is also skipped: such a pulse has no resolvable
+    The wait replaces a pulse with no transition within its bandwidth,
+    and one whose carrier the engine cannot address unambiguously (two
+    lines within its ambiguity band): such a pulse has no resolvable
     target, and in a sweep it contributes only its wall time.
     """
-    cutoff = TWO_PI * SKIP_CUTOFF_SCALE / fwhm
-    if _nearest_distance(sys, carrier) > cutoff:
-        return apply_pulse(state, wait(2.0 * fwhm), sys, rng, noise)
+    pulse = gaussian_pi(carrier, fwhm=fwhm)
     try:
-        return apply_pulse(state, gaussian_pi(carrier, fwhm=fwhm), sys, rng,
-                           noise)
+        nearest = dyn._address(pulse, sys)
     except AmbiguousDriveError:
-        return apply_pulse(state, wait(2.0 * fwhm), sys, rng, noise)
+        return wait(2.0 * fwhm)
+    if abs(nearest.frequency - carrier) > TWO_PI * SKIP_CUTOFF_SCALE / fwhm:
+        return wait(2.0 * fwhm)
+    return pulse
 
 
-def _detect(state, duration, sys, det, rng, noise):
-    """Free evolution plus click counting over the window."""
-    t0 = state.time
-    events = apply_pulse(state, dyn.detect(duration), sys, rng, noise)
-    emissions = [e.time for e in events if e.photon]
-    return count_window(emissions, (t0, t0 + duration), det, rng), events
+def _run(state: SystemState, schedule, sys: SpinSystem, det: DetectorParams,
+         rng, noise: NoiseModel) -> list[int]:
+    """One pass over ``schedule``; returns the clicks of each detect window,
+    counted as it closes so the random numbers are drawn in schedule order."""
+    counts = []
+    for seg in schedule:
+        t0 = state.time
+        events = apply_pulse(state, seg, sys, rng, noise)
+        if seg.kind == "detect_window":
+            emissions = [e.time for e in events if e.photon]
+            counts.append(count_window(emissions, (t0, t0 + seg.duration),
+                                       det, rng))
+    return counts
 
 
 def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
@@ -119,17 +124,16 @@ def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
     averaged peak weights. The state persists and is mutated.
     """
     deltas = np.arange(-span_hz / 2.0, span_hz / 2.0 + step_hz / 2.0, step_hz)
+    blank, window = wait(BLANKING), dyn.detect(t_int)
+    schedule = tuple(seg for d_hz in deltas
+                     for seg in (_pulse(sys, center + TWO_PI * d_hz,
+                                        pulse_fwhm), blank, window))
     counts = np.zeros(deltas.size)
     start = state.time
     for _ in range(n_averages):
         if noise.t2_star:
             state.shot_offset = noise.shot_offset(rng)
-        for i, d_hz in enumerate(deltas):
-            carrier = center + TWO_PI * d_hz
-            _pulse_or_wait(state, carrier, pulse_fwhm, sys, rng, noise)
-            apply_pulse(state, wait(BLANKING), sys, rng, noise)
-            c, _ = _detect(state, t_int, sys, det, rng, noise)
-            counts[i] += c
+        counts += _run(state, schedule, sys, det, rng, noise)
     return Spectrum(delta_hz=deltas, counts=counts, center=center,
                     n_averages=n_averages, start_time=start)
 
@@ -152,8 +156,7 @@ def readout_pair(sys: SpinSystem) -> tuple[Transition, Transition]:
     allowed = sys.allowed_transitions()
     if len(allowed) != 2:
         raise ValueError("interleaved readout needs exactly two allowed lines")
-    down = next(t for t in allowed
-                if sys.levels[t.lower][1] == "d")
+    down = next(t for t in allowed if sys.levels[t.lower][1] == "d")
     up = next(t for t in allowed if t is not down)
     return down, up
 
@@ -171,17 +174,15 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
     """
     if n_ro < 1:
         raise ValueError("need at least one readout cycle")
-    down, up = readout_pair(sys)
+    window = dyn.detect(t_d)
+    cycle = tuple(seg for line in readout_pair(sys)
+                  for seg in (_pulse(sys, line.frequency, pulse_fwhm), window))
     t_start = state.time
     c_down = c_up = 0
     for _ in range(n_ro):
-        for which, trans in (("down", down), ("up", up)):
-            _pulse_or_wait(state, trans.frequency, pulse_fwhm, sys, rng, noise)
-            c, _ = _detect(state, t_d, sys, det, rng, noise)
-            if which == "down":
-                c_down += c
-            else:
-                c_up += c
+        down, up = _run(state, cycle, sys, det, rng, noise)
+        c_down += down
+        c_up += up
     return CountRecord(c_down=c_down, c_up=c_up, n_ro=n_ro,
                        duration=state.time - t_start)
 
@@ -212,27 +213,29 @@ def forbidden_pi(sys: SpinSystem, branch: str, *,
                         amplitude=amp, duration=duration, edge=edge)
 
 
+def _dnp_train(sys: SpinSystem, target: str, n_prep: int,
+               **forbidden) -> tuple[PulseSegment, ...]:
+    """The pulse train of :func:`dnp_prepare`."""
+    if target not in ("d", "u"):
+        raise ValueError("target nuclear state must be 'd' or 'u'")
+    branch = "zero_quantum" if target == "d" else "double_quantum"
+    gamma = sys.gamma_r
+    relax = wait(3.0 / gamma if gamma > 0 else 1e-3)
+    return (forbidden_pi(sys, branch, **forbidden), relax) * n_prep
+
+
 def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
                 n_prep: int = 2, omega_eff: float = TWO_PI * 15e3,
-                noise: NoiseModel = NO_NOISE) -> list:
-    """Polarize the nucleus by a forbidden pi-pulse train.
+                noise: NoiseModel = NO_NOISE) -> None:
+    """Polarize the nucleus by a forbidden pi-pulse train; mutates ``state``.
 
     ``target="d"`` pumps the zero-quantum line (excitation out of the
     nuclear-up ground level relaxes into nuclear-down); ``target="u"``
     pumps the double-quantum line. Each pulse is followed by a
     relaxation wait of 3 electron lifetimes (1 ms without decay).
     """
-    if target not in ("d", "u"):
-        raise ValueError("target nuclear state must be 'd' or 'u'")
-    branch = "zero_quantum" if target == "d" else "double_quantum"
-    seg = forbidden_pi(sys, branch, omega_eff=omega_eff)
-    gamma = sys.gamma_r
-    relax = wait(3.0 / gamma if gamma > 0 else 1e-3)
-    events = []
-    for _ in range(n_prep):
-        events += apply_pulse(state, seg, sys, rng, noise)
-        events += apply_pulse(state, relax, sys, rng, noise)
-    return events
+    train = _dnp_train(sys, target, n_prep, omega_eff=omega_eff)
+    _run(state, train, sys, None, rng, noise)
 
 
 def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
@@ -248,20 +251,19 @@ def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
     input-referred drive (allowed-transition Rabi units, rad/s).
     """
     deltas_hz = np.asarray(deltas_hz, dtype=float)
-    omega_s = sys.params.omega_s
+    train = _dnp_train(sys, prepare, n_prep)
+    settle = wait(5.0 / max(sys.gamma_r, 1.0))
     p_down = np.zeros(deltas_hz.size)
     for i, d_hz in enumerate(deltas_hz):
-        carrier = omega_s + TWO_PI * d_hz
-        seg = PulseSegment(kind="flattop", frequency=carrier,
-                           amplitude=amplitude, duration=duration, edge=edge)
+        pulse = PulseSegment(kind="flattop",
+                             frequency=sys.params.omega_s + TWO_PI * d_hz,
+                             amplitude=amplitude, duration=duration, edge=edge)
+        schedule = (*train, pulse, settle)
         n_down = 0
         for shot in range(n_shots):
             rng = trajectory_rng(seed, i * n_shots + shot)
             state = SystemState(level=0)
-            dnp_prepare(state, prepare, sys, rng, n_prep=n_prep, noise=noise)
-            apply_pulse(state, seg, sys, rng, noise)
-            apply_pulse(state, wait(5.0 / max(sys.gamma_r, 1.0)), sys, rng,
-                        noise)
+            _run(state, schedule, sys, det, rng, noise)
             rec = single_shot_readout(state, sys, det, rng, n_ro=n_ro,
                                       t_d=t_d, noise=noise)
             n_down += (rec.state_call == "d")
@@ -277,10 +279,8 @@ def rabi_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
     trans = sys.transition(transition)
 
     def schedule(tau):
-        if tau == 0:
-            return []
         return [PulseSegment(kind="square", frequency=trans.frequency,
-                             amplitude=amplitude, duration=tau)]
+                             amplitude=amplitude, duration=tau)] if tau else []
 
     return _interference_experiment(sys, det, seed, trans.lower, schedule,
                                     durations, n_averages, t_int, noise)
@@ -290,16 +290,15 @@ def _interference_experiment(sys, det, seed, lower, schedule_fn, taus,
                              n_averages, t_int, noise):
     """Mean clicks after ``schedule_fn(tau)`` from level ``lower``, per tau."""
     signal = np.zeros(len(taus))
+    window = dyn.detect(t_int)
     for i, tau in enumerate(taus):
-        schedule = schedule_fn(tau)
+        schedule = (*schedule_fn(tau), window)
         for shot in range(n_averages):
             rng = trajectory_rng(seed, i * n_averages + shot)
             state = SystemState(level=lower,
                                 shot_offset=noise.shot_offset(rng))
-            for seg in schedule:
-                apply_pulse(state, seg, sys, rng, noise)
-            c, _ = _detect(state, t_int, sys, det, rng, noise)
-            signal[i] += c
+            (clicks,) = _run(state, schedule, sys, det, rng, noise)
+            signal[i] += clicks
     return signal / n_averages
 
 

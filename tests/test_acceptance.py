@@ -13,7 +13,7 @@ from scipy import stats
 
 from jumpspec import analysis, fitting, sequencer
 from jumpspec.detector import DetectorParams, fluorescence_curve
-from jumpspec.dynamics import (SystemState, evolve_free, gaussian_pi,
+from jumpspec.dynamics import (SystemState, apply_pulse, gaussian_pi,
                                run_trajectories, trajectory_rng, wait)
 from jumpspec.lattice import FieldOrientation, dipolar_coupling, load_structure
 from jumpspec.spinmodel import (CavityParams, SpinParams,
@@ -72,7 +72,7 @@ def test_02_purcell_lifetime():
     for i in range(2500):
         rng = trajectory_rng(102, i)
         state = SystemState(level=3)
-        events = evolve_free(state, 25e-3, sys, rng)
+        events = apply_pulse(state, wait(25e-3), sys, rng)
         if events:
             times.append(events[0].time)
     t1_mc = float(np.mean(times))
@@ -298,7 +298,7 @@ def test_11_statistical_suites():
     for i in range(2500):
         rng = trajectory_rng(111, i)
         state = SystemState(level=3)
-        events = evolve_free(state, 30e-3, sys, rng)
+        events = apply_pulse(state, wait(30e-3), sys, rng)
         if events:
             times.append(events[0].time)
             labels.append(events[0].label)

@@ -13,8 +13,8 @@ from scipy import stats
 from jumpspec import dynamics as dyn
 from jumpspec.dynamics import (NO_NOISE, AmbiguousDriveError, NoiseModel,
                                PulseSegment, SystemState, apply_pulse,
-                               evolve_free, gaussian_pi, run_schedule,
-                               run_trajectories, trajectory_rng, wait)
+                               gaussian_pi, run_schedule, run_trajectories,
+                               trajectory_rng, wait)
 from jumpspec.spinmodel import CavityParams, SpinParams, build_system
 
 TWO_PI = 2.0 * math.pi
@@ -32,7 +32,7 @@ def decay_times(system, level, n, seed):
     for i in range(n):
         rng = trajectory_rng(seed, i)
         state = SystemState(level=level)
-        events = evolve_free(state, 20e-3, system, rng)
+        events = apply_pulse(state, wait(20e-3), system, rng)
         if events:
             out.append(events[0].time)
     return np.array(out)
@@ -52,7 +52,7 @@ def test_branching_fractions(system):
     for i in range(n):
         rng = trajectory_rng(3, i)
         state = SystemState(level=3)
-        events = evolve_free(state, 30e-3, system, rng)
+        events = apply_pulse(state, wait(30e-3), system, rng)
         if events:
             labels.append(events[0].label)
     rates = {ch.transition.label: ch.rate for ch in system.channels[3]}
@@ -109,7 +109,7 @@ def test_half_rotation_gives_even_odds(system):
         state = SystemState(level=t.lower)
         apply_pulse(state, gaussian_pi(t.frequency, rotation=math.pi / 2),
                     system, rng)
-        events = evolve_free(state, 30e-3, system, rng)
+        events = apply_pulse(state, wait(30e-3), system, rng)
         ups += bool(events)
     assert abs(ups / n - 0.5) < 4.0 * math.sqrt(0.25 / n)
 
@@ -125,7 +125,7 @@ def test_conditional_decay_after_partial_excitation(system):
         apply_pulse(state, gaussian_pi(t.frequency, rotation=math.pi / 2),
                     system, rng)
         t0 = state.time
-        events = evolve_free(state, 25e-3, system, rng)
+        events = apply_pulse(state, wait(25e-3), system, rng)
         if events:
             times.append(events[0].time - t0)
     gamma = system.total_rate(t.upper)
@@ -221,7 +221,7 @@ def test_driven_forbidden_transition_needs_shifted_carrier(system):
             rng = trajectory_rng(seed, i)
             state = SystemState(level=zq.lower)
             apply_pulse(state, segx, system, rng)
-            evolve_free(state, 8.0 / system.gamma_r, system, rng)
+            apply_pulse(state, wait(8.0 / system.gamma_r), system, rng)
             n += (system.levels[state.level] == (0, "d"))
         return n / 60
 

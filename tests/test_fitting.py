@@ -25,11 +25,11 @@ def test_lorentzian_fit_recovers_parameters():
 
 def test_cost_history_is_monotone():
     rng = np.random.default_rng(1)
-    x = np.linspace(0, 1e-3, 60)
-    y, _ = fitting.exponential_decay(x, np.array([5.0, 2e-4, 1.0]))
+    x = np.linspace(-50e3, 50e3, 60)
+    y, _ = fitting.lorentzian(x, np.array([2e3, 12e3, 5.0, 1.0]))
     y += rng.normal(0, 0.2, x.size)
-    res = fitting.curve_fit(fitting.exponential_decay, x, y,
-                            np.array([3.0, 5e-4, 0.0]))
+    res = fitting.curve_fit(fitting.lorentzian, x, y,
+                            np.array([-6e3, 25e3, 3.0, 0.0]))
     hist = res.cost_history
     assert np.all(np.diff(hist) <= 0)
     assert res.cost == hist[-1]
@@ -46,9 +46,6 @@ def test_nan_residual_does_not_converge():
 
 @pytest.mark.parametrize("model,p", [
     (fitting.lorentzian, np.array([1e3, 4e3, 2.0, 0.3])),
-    (fitting.gaussian, np.array([-2e3, 3e3, 1.5, 0.1])),
-    (fitting.exponential_decay, np.array([2.0, 3e-4, 0.2])),
-    (fitting.damped_cosine, np.array([1.0, 1.1e4, 0.4, 2e-4, 0.1])),
     (fitting.double_gaussian, np.array([-5.0, 2.0, 1.0, 6.0, 3.0, 0.7])),
     (fitting.multi_lorentzian,
      np.array([-8e3, 3e3, 1.0, 9e3, 5e3, 0.6, 0.2])),
@@ -56,8 +53,6 @@ def test_nan_residual_does_not_converge():
 def test_analytic_jacobians_match_finite_difference(model, p):
     if model is fitting.double_gaussian:
         x = np.linspace(-15, 15, 41)
-    elif model in (fitting.exponential_decay, fitting.damped_cosine):
-        x = np.linspace(0, 1e-3, 41)
     else:
         x = np.linspace(-20e3, 20e3, 41)
     _, jac = model(x, p)
@@ -91,8 +86,8 @@ def test_covariance_scales_with_noise():
 
 
 def test_gradient_convergence_flag():
-    x = np.linspace(0, 1, 20)
-    y = 2.0 * np.exp(-x / 0.3) + 0.1
-    res = fitting.curve_fit(fitting.exponential_decay, x, y,
-                            np.array([1.0, 0.5, 0.0]))
+    x = np.linspace(-30e3, 30e3, 20)
+    y, _ = fitting.lorentzian(x, np.array([1e3, 8e3, 2.0, 0.1]))
+    res = fitting.curve_fit(fitting.lorentzian, x, y,
+                            np.array([-2e3, 12e3, 1.0, 0.0]))
     assert res.converged and res.cost < 1e-12

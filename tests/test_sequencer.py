@@ -8,12 +8,13 @@ import pytest
 
 from jumpspec import sequencer
 from jumpspec.detector import DetectorParams
-from jumpspec.dynamics import SystemState, trajectory_rng
-from jumpspec.sequencer import (TrackerState, dnp_prepare, eldor_scan,
-                                forbidden_pi, rabi_experiment, readout_pair,
-                                run_tracking, single_shot_readout,
-                                spectroscopy_sweep, trace_experiment,
-                                track_step)
+from jumpspec.dynamics import (NoiseModel, SystemState, gaussian_pi,
+                               trajectory_rng, wait)
+from jumpspec.sequencer import (TrackerState, dnp_prepare, echo_experiment,
+                                eldor_scan, forbidden_pi, rabi_experiment,
+                                ramsey_experiment, readout_pair, run_tracking,
+                                single_shot_readout, spectroscopy_sweep,
+                                trace_experiment, track_step)
 from jumpspec.spinmodel import CavityParams, SpinParams, build_system
 
 TWO_PI = 2.0 * math.pi
@@ -196,3 +197,135 @@ def test_readout_requires_cycles(system, detector):
     with pytest.raises(ValueError):
         single_shot_readout(SystemState(level=0), system, detector,
                             trajectory_rng(7, 0), n_ro=0)
+
+
+# ---------------------------------------------------------------------------
+# compiled schedules: skip rule, random streams, names the benchmark traces
+
+def test_pulse_skips_far_and_ambiguous_carriers(system):
+    fwhm = 80e-6
+    skipped = wait(2.0 * fwhm)
+    far = system.params.omega_s + TWO_PI * 300e3
+    cutoff = TWO_PI * sequencer.SKIP_CUTOFF_SCALE / fwhm
+    assert min(abs(t.frequency - far) for t in system.transitions) > cutoff
+    assert sequencer._pulse(system, far, fwhm) == skipped
+    line = system.transition("allowed_d").frequency
+    assert sequencer._pulse(system, line, fwhm) == gaussian_pi(line, fwhm=fwhm)
+    # a 1.5 kHz splitting puts the midpoint within 1 kHz of both lines
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(1.5e3, 0.0)])
+    close = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+    mid = 0.5 * (close.transition("allowed_d").frequency
+                 + close.transition("allowed_u").frequency)
+    assert sequencer._pulse(close, mid, fwhm) == skipped
+
+
+def _next_draw(rng):
+    """The stream position after a protocol, as one further draw."""
+    return int(rng.integers(2 ** 32))
+
+
+def _pinned_sweep(system, det):
+    rng = trajectory_rng(31, 0)
+    state = SystemState(level=system.level_index(0, "u"))
+    sp = spectroscopy_sweep(state, system, det, rng,
+                            center=system.params.omega_s, span_hz=60e3,
+                            step_hz=6e3, n_averages=10, t_int=2e-3)
+    return sp.counts.tolist(), state.level, state.time, _next_draw(rng)
+
+
+def _pinned_readout(system, det):
+    rng = trajectory_rng(32, 0)
+    state = SystemState(level=system.level_index(0, "d"))
+    rec = single_shot_readout(state, system, det, rng, n_ro=60)
+    return rec.c_down, rec.c_up, rec.duration, state.level, _next_draw(rng)
+
+
+def _pinned_dnp(system, det):
+    out = []
+    for target in ("d", "u"):
+        rng = trajectory_rng(33, 0)
+        state = SystemState(level=1)
+        dnp_prepare(state, target, system, rng, n_prep=2)
+        out.append((state.level, state.time, _next_draw(rng)))
+    return out
+
+
+def _pinned_eldor(system, det):
+    return eldor_scan(system, det, 34, deltas_hz=[-20e3, 0.0],
+                      amplitude=TWO_PI * 200e3, duration=20e-6, prepare="u",
+                      n_prep=2, n_shots=4, n_ro=60).tolist()
+
+
+def _pinned_rabi(system, det):
+    return rabi_experiment(system, det, 35, transition="allowed_d",
+                           amplitude=TWO_PI * 50e3,
+                           durations=[0.0, 5e-6, 10e-6],
+                           n_averages=20).tolist()
+
+
+def _pinned_ramsey(system, det):
+    return ramsey_experiment(system, det, 36, transition="allowed_d",
+                             delays=[0.0, 50e-6, 100e-6], n_averages=20,
+                             noise=NoiseModel(t2_star=100e-6)).tolist()
+
+
+def _pinned_echo(system, det):
+    return echo_experiment(system, det, 37, transition="allowed_d",
+                           delays=[0.0, 50e-6, 100e-6], n_averages=20,
+                           noise=NoiseModel(t2=200e-6)).tolist()
+
+
+# Outputs recorded before the protocols were compiled into schedules: any
+# change in the order or number of random draws shows up here. Times are
+# sums of segment lengths and are compared to rounding.
+PINNED = {
+    _pinned_sweep: ([2.0, 5.0, 2.0, 1.0, 3.0, 3.0, 1.0, 8.0, 3.0, 3.0, 2.0],
+                    0, pytest.approx(0.2464), 2067955936),
+    _pinned_readout: (33, 23, pytest.approx(0.3312), 1, 2505740611),
+    _pinned_dnp: [(1, pytest.approx(0.007675515629420796), 3455283106),
+                  (0, pytest.approx(0.007675515629420796), 3694404596)],
+    _pinned_eldor: [0.0, 0.5],
+    _pinned_rabi: [0.25, 0.3, 0.35],
+    _pinned_ramsey: [0.3, 0.4, 0.3],
+    _pinned_echo: [0.4, 0.2, 0.65],
+}
+
+
+@pytest.mark.parametrize("run", list(PINNED),
+                         ids=lambda f: f.__name__.removeprefix("_pinned_"))
+def test_protocol_random_stream_is_pinned(system, detector, run):
+    assert run(system, detector) == PINNED[run]
+
+
+def test_every_segment_and_window_goes_through_the_traced_names(
+        system, detector, monkeypatch):
+    """The benchmark traces a run by replacing ``sequencer.apply_pulse``
+    and ``sequencer.count_window``; a protocol that reached the engine or
+    the detector another way would drop out of its counts unseen."""
+    calls = {"apply_pulse": 0, "count_window": 0, "clicks": 0}
+    apply_pulse, count_window = sequencer.apply_pulse, sequencer.count_window
+
+    def counted_pulse(*args, **kwargs):
+        calls["apply_pulse"] += 1
+        return apply_pulse(*args, **kwargs)
+
+    def counted_window(*args, **kwargs):
+        clicks = count_window(*args, **kwargs)
+        calls["count_window"] += 1
+        calls["clicks"] += clicks
+        return clicks
+
+    monkeypatch.setattr(sequencer, "apply_pulse", counted_pulse)
+    monkeypatch.setattr(sequencer, "count_window", counted_window)
+    rng = trajectory_rng(38, 0)
+    state = SystemState(level=system.level_index(0, "u"))
+    sp = spectroscopy_sweep(state, system, detector, rng,
+                            center=system.params.omega_s, span_hz=40e3,
+                            step_hz=8e3, n_averages=3, t_int=1e-3)
+    n_windows = sp.delta_hz.size * sp.n_averages
+    assert calls == {"apply_pulse": 3 * n_windows, "count_window": n_windows,
+                     "clicks": sp.counts.sum()}
+    calls.update(apply_pulse=0, count_window=0, clicks=0)
+    rec = single_shot_readout(state, system, detector, rng, n_ro=7)
+    assert calls == {"apply_pulse": 4 * 7, "count_window": 2 * 7,
+                     "clicks": rec.c_down + rec.c_up}
