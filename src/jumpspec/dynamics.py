@@ -9,16 +9,16 @@ emitting one cavity photon; photon loss is the detector's business.
 
 A segment propagates on one of three paths (see ``apply_pulse``):
 population mode when no coherence is carried; no-jump maps, in closed
-form for free evolution and from cumulative 4x4 maps tabulated once per
-drive for driven segments, both linear on the unnormalised state
-(Dalibard, Castin & Mølmer, PRL 68, 580, 1992); and the per-step Bloch
-loop, which is kept for drives under a per-shot detuning and for driven
-segments whose no-jump survival is below 1e-6. The maps draw the loop's
-per-step uniforms and make its comparisons, so the loop is their
-reference in the tests. Plans and decay records are memoised by value
-on the ``SpinSystem`` they belong to, so they are freed with it. Threads
-sharing a system may build an entry twice; entries depend only on their
-key, so either copy serves.
+form for free evolution and from cumulative 4x4 maps for driven
+segments, both linear on the unnormalised state (Dalibard, Castin &
+Mølmer, PRL 68, 580, 1992), tabulated once per drive or, under a
+per-shot detuning, once per shot; and the per-step Bloch loop, which is
+kept only for lossy drives, whose no-jump survival is below 1e-6. The
+maps draw the loop's per-step uniforms and make its comparisons, so the
+loop is their reference in the tests. Plans and decay records are
+memoised by value on the ``SpinSystem`` they belong to, so they are
+freed with it. Threads sharing a system may build an entry twice;
+entries depend only on their key, so either copy serves.
 
 Optional dephasing (off by default): a static per-shot detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
@@ -124,11 +124,18 @@ class NoiseModel:
 
     ``t2_star`` draws a static detuning per shot from a Lorentzian of
     HWHM 1/t2_star, giving the observed exponential Ramsey envelope.
-    ``t2`` applies Markovian transverse decay during evolution.
+    ``t2`` applies Markovian transverse decay during evolution. ``None``
+    or 0 switches a channel off.
     """
 
     t2_star: float | None = None
     t2: float | None = None
+
+    def __post_init__(self):
+        for name in ("t2_star", "t2"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
     def shot_offset(self, rng) -> float:
         if not self.t2_star:
@@ -346,76 +353,111 @@ class _NoJumpTable:
     keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). So for a
     start vector v the jump hazard of step i is (num[i] . v) / (den[i] . v)
     (the upper population after the rotation, times p_step, over the trace
-    before the step) and the end state is end @ v. ``restart[i]`` is the
+    before the step) and the end state is end @ v. ``restart(i)`` is the
     start vector whose no-jump evolution passes through the lower pole
     right after step i, so a jump back into the pair at step i continues
     from it. The population basis keeps the trace of a decaying upper
     level exact (no cancellation between n and Z).
+
+    The cumulative maps come from a doubling scan, ceil(log2 n) batched
+    products (Hillis & Steele, CACM 29, 1170, 1986). A table with a shot
+    ``offset`` (rad/s, subtracted from the detuning as in the step loop)
+    serves one segment of one shot: it keeps the cumulative maps and
+    solves a restart vector only when a jump needs one. A memoised table
+    (no offset) solves them all at once, keeps the pole starts, and drops
+    the cumulative maps.
     """
 
-    __slots__ = ("num", "den", "end", "restart", "pole_hazard", "pole_end")
+    __slots__ = ("num", "den", "end", "prefix", "restarts", "pole_hazard",
+                 "pole_end")
 
-    def __init__(self, plan, drive):
-        n, dt = plan.n_steps, plan.dt
+    def __init__(self, plan, drive, offset: float = 0.0):
+        n = plan.n_steps
         env = np.asarray(plan.envelope)
         wx = drive.omega_peak * env
-        wy = wx * math.sin(plan.phase)
-        wx = wx * math.cos(plan.phase)
-        detuning = (plan.frame - drive.trans.frequency
+        detuning = (plan.frame - drive.trans.frequency - offset
                     if plan.frame != 0.0 else 0.0)
         wz = (detuning - drive.ac_shift * env * env
               if drive.ac_shift != 0.0 else np.full(n, detuning))
-        rot = _rotations(wx, wy, wz, dt)
-        # rotation and t2 in the population basis, one 4x4 map per step
-        zrow = np.stack([-rot[:, 2, 2], rot[:, 2, 2], rot[:, 2, 0],
-                         rot[:, 2, 1]], axis=1)
-        trace = np.array([1.0, 1.0, 0.0, 0.0])
-        maps = np.empty((n, 4, 4))
-        maps[:, 0] = 0.5 * (trace - zrow)
-        maps[:, 1] = 0.5 * (trace + zrow)
-        for row in (0, 1):
-            maps[:, 2 + row] = plan.t2_decay * np.stack(
-                [-rot[:, row, 2], rot[:, row, 2], rot[:, row, 0],
-                 rot[:, row, 1]], axis=1)
+        w = np.stack([wx * math.cos(plan.phase), wx * math.sin(plan.phase),
+                      wz], axis=1)
         decay = drive.decay
         q = 1.0 - decay.p_step
-        kraus = np.array([1.0, q, decay.sqrt_survive, decay.sqrt_survive])
-        steps = kraus[None, :, None] * maps
-        prefix = np.empty((n, 4, 4))
-        cum = np.eye(4)
-        for i in range(n):
-            cum = steps[i] @ cum
-            prefix[i] = cum
+        transverse = decay.sqrt_survive * plan.t2_decay
+        weights = np.array([1.0, q, transverse, transverse])
+        step_map = (weights[:, None, None] * _STEP_BASIS).reshape(16, 10)
+        steps = (_rotation_features(w, plan.dt) @ step_map.T).reshape(n, 4, 4)
+        prefix = steps.copy()
+        k = 1
+        while k < n:
+            prefix[k:] = prefix[k:] @ prefix[:-k]
+            k *= 2
         before = np.concatenate([np.eye(4)[None], prefix[:-1]])
         self.den = before[:, 0] + before[:, 1]
-        self.num = decay.p_step * np.einsum("ij,ijk->ik", maps[:, 1], before)
+        # row 1 of a step is the rotated upper population times q
+        self.num = (decay.p_step / q) * np.einsum("ij,ijk->ik", steps[:, 1],
+                                                  before)
+        self.prefix = self.restarts = self.pole_hazard = self.pole_end = None
+        if offset != 0.0:
+            self.prefix, self.end = prefix, prefix[-1]
+            return
         self.end = prefix[-1].copy()
-        self.restart = None
         if decay.p_step > 0.0:
-            lower_pole = np.broadcast_to([[1.0], [0.0], [0.0], [0.0]],
-                                         (n, 4, 1))
-            self.restart = np.linalg.solve(prefix, lower_pole)[:, :, 0]
+            lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
+            self.restarts = np.linalg.solve(prefix, lower)[..., 0]
         # pole starts (v = e_0 or e_1): the readout's common case
         self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
                             self.num[:, 1] / self.den[:, 1])
         self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
 
+    def restart(self, i: int) -> np.ndarray:
+        if self.restarts is not None:
+            return self.restarts[i]
+        return np.linalg.solve(self.prefix[i], _LOWER_POLE)
 
-def _rotations(wx, wy, wz, dt):
-    """Rodrigues matrices of the per-step rotations about (wx, wy, wz)*dt."""
-    norm2 = wx * wx + wy * wy + wz * wz
+
+_LOWER_POLE = np.array([1.0, 0.0, 0.0, 0.0])
+
+#: Cross-product matrix [a]x of an axis a, flattened: a @ _CROSS.
+_CROSS = np.zeros((3, 9))
+_CROSS[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1, 1, 1, -1, -1, 1]
+
+
+def _step_basis():
+    """One no-jump step before its Kraus and t2 weights: a (4, 4) map on
+    (rho_ll, rho_uu, X, Y), linear in the features (1, R00, ..., R22) of
+    its rotation R. Row j of R acts through z = rho_uu - rho_ll, and the
+    populations after it are (trace -/+ z)/2."""
+    basis = np.zeros((4, 4, 10))
+    basis[:2, :2, 0] = 0.5
+    column = 1 + np.arange(9).reshape(3, 3)          # feature of R[i, j]
+    for out, j, scale in ((0, 2, -0.5), (1, 2, 0.5), (2, 0, 1.0),
+                          (3, 1, 1.0)):
+        basis[out, range(4), column[j, [2, 2, 0, 1]]] = [-scale, scale,
+                                                         scale, scale]
+    return basis
+
+
+_STEP_BASIS = _step_basis()
+
+
+def _rotation_features(w, dt):
+    """(1, R00, R01, ..., R22) of the per-step Rodrigues rotations about
+    the rows of ``w`` (rad/s) over ``dt``."""
+    norm2 = np.einsum("ij,ij->i", w, w)
     turn = norm2 > 1e-28
-    inv = np.where(turn, 1.0 / np.sqrt(np.where(turn, norm2, 1.0)), 0.0)
-    ax, ay, az = wx * inv, wy * inv, wz * inv
-    angle = np.where(turn, dt * np.sqrt(norm2), 0.0)
+    norm = np.sqrt(np.where(turn, norm2, 1.0))
+    axis = w * np.where(turn, 1.0 / norm, 0.0)[:, None]
+    angle = np.where(turn, dt * norm, 0.0)
     c, s = np.cos(angle), np.sin(angle)
-    axis = np.stack([ax, ay, az], axis=1)
-    zero = np.zeros_like(ax)
-    cross = np.stack([np.stack([zero, -az, ay], axis=1),
-                      np.stack([az, zero, -ax], axis=1),
-                      np.stack([-ay, ax, zero], axis=1)], axis=1)
-    return (c[:, None, None] * np.eye(3) + s[:, None, None] * cross
-            + (1.0 - c)[:, None, None] * axis[:, :, None] * axis[:, None, :])
+    n = len(w)
+    feats = np.empty((n, 10))
+    feats[:, 0] = 1.0
+    feats[:, 1:] = ((1.0 - c)[:, None]
+                    * (axis[:, :, None] * axis[:, None, :]).reshape(n, 9)
+                    + (s[:, None] * axis) @ _CROSS)
+    feats[:, [1, 5, 9]] += c[:, None]
+    return feats
 
 
 def _bloch(v) -> list:
@@ -511,12 +553,13 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     - population mode, when no coherence is carried: plain relaxation
       across the whole segment (``_relax``);
     - no-jump maps: the closed form for an undriven coherence, the
-      drive's tabulated cumulative maps for a driven one; one uniform per
-      step is drawn and compared with the step's hazard, as in the step
-      loop, so events, levels and random stream match it up to rounding;
-    - the per-step loop, kept for drives under a per-shot ``t2_star``
-      detuning (a table per shot would not be reused) and for driven
-      segments too lossy for the tables' precision.
+      drive's tabulated cumulative maps for a driven one (memoised on the
+      drive, or built for this shot and dropped after the segment under
+      a per-shot ``t2_star`` detuning); one uniform per step is drawn and
+      compared with the step's hazard, as in the step loop, so events,
+      levels and random stream match it up to rounding;
+    - the per-step loop, kept only for lossy drives (``not
+      drive.tabulable``), too lossy for the tables' precision.
 
     A jump is stamped at the midpoint of the step it falls in.
     """
@@ -528,9 +571,15 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
         return _relax(state, plan, seg.wall_time, rng)
     if drive is None:
         return _free_map(state, seg, plan, rng)
-    if state.shot_offset != 0.0 or not drive.tabulable:
+    if not drive.tabulable:
         return _step_loop(state, seg, plan, drive, rng)
-    return _table_map(state, seg, plan, drive, rng)
+    if state.shot_offset != 0.0:
+        table = _NoJumpTable(plan, drive, state.shot_offset)
+    else:
+        table = drive.table
+        if table is None:
+            table = drive.table = _NoJumpTable(plan, drive)
+    return _table_map(state, seg, plan, drive, table, rng)
 
 
 def _enter(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
@@ -608,22 +657,21 @@ def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
 
 
 def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
-               drive: _LevelDrive, rng):
-    """Driven no-jump evolution from the drive's tabulated maps.
+               drive: _LevelDrive, table: _NoJumpTable, rng):
+    """Driven no-jump evolution from a table of the drive's maps.
 
     Each start vector (a pole, the entry coherence, or the restart vector
     after a jump back to the lower level) costs two mat-vecs for the
-    hazards of the remaining steps and one for the end state.
+    hazards of the remaining steps and one for the end state; a memoised
+    table has the pole starts precomputed.
     """
-    table = drive.table
-    if table is None:
-        table = drive.table = _NoJumpTable(plan, drive)
     decay = drive.decay
     n, dt = plan.n_steps, plan.dt
     t0 = state.time
     events: list[JumpEvent] = []
     x, y, z = state.bloch
-    if x == 0.0 and y == 0.0 and (z == 1.0 or z == -1.0):
+    if (table.pole_hazard is not None and x == 0.0 and y == 0.0
+            and (z == 1.0 or z == -1.0)):
         v, hazard, end = None, table.pole_hazard[z > 0], table.pole_end[z > 0]
     else:
         v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
@@ -643,7 +691,7 @@ def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
                 state.time = t0 + (i + 1) * dt
                 return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
                                    rng, events)
-            v, hazard, start = table.restart[i], None, i + 1
+            v, hazard, start = table.restart(i), None, i + 1
     state.bloch = list(end) if v is None else _bloch(table.end @ v)
     state.time = t0 + seg.wall_time
     return events

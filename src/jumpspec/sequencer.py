@@ -170,7 +170,8 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
     Each of the ``n_ro`` cycles pulses the nuclear-down line, counts for
     ``t_d``, then the nuclear-up line, and counts again; only the line
     matching the current nuclear state excites, so the click imbalance
-    encodes the state.
+    encodes the state. Under ``noise.t2_star`` each cycle draws its own
+    static detuning.
     """
     if n_ro < 1:
         raise ValueError("need at least one readout cycle")
@@ -180,6 +181,8 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
     t_start = state.time
     c_down = c_up = 0
     for _ in range(n_ro):
+        if noise.t2_star:
+            state.shot_offset = noise.shot_offset(rng)
         down, up = _run(state, cycle, sys, det, rng, noise)
         c_down += down
         c_up += up
@@ -246,9 +249,11 @@ def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
     """P(nuclear down) versus drive offset across a forbidden line.
 
     Each shot polarizes the nucleus, applies a flattop pulse at
-    ``omega_s + delta``, and reads the nuclear state out. ``deltas_hz``
-    are offsets from the electron frequency (Hz); ``amplitude`` is the
-    input-referred drive (allowed-transition Rabi units, rad/s).
+    ``omega_s + delta``, and reads the nuclear state out; under
+    ``noise.t2_star`` a shot draws its static detuning as it starts, and
+    the readout one per cycle. ``deltas_hz`` are offsets from the
+    electron frequency (Hz); ``amplitude`` is the input-referred drive
+    (allowed-transition Rabi units, rad/s).
     """
     deltas_hz = np.asarray(deltas_hz, dtype=float)
     train = _dnp_train(sys, prepare, n_prep)
@@ -262,7 +267,7 @@ def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
         n_down = 0
         for shot in range(n_shots):
             rng = trajectory_rng(seed, i * n_shots + shot)
-            state = SystemState(level=0)
+            state = SystemState(level=0, shot_offset=noise.shot_offset(rng))
             _run(state, schedule, sys, det, rng, noise)
             rec = single_shot_readout(state, sys, det, rng, n_ro=n_ro,
                                       t_d=t_d, noise=noise)

@@ -232,6 +232,21 @@ def test_driven_forbidden_transition_needs_shifted_carrier(system):
     assert end_flipped(bare, 22) < 0.5
 
 
+@pytest.mark.parametrize("field", ["t2_star", "t2"])
+def test_noise_model_rejects_invalid_times(system, field):
+    """Negative or non-finite coherence times fail loudly (a negative t2
+    would grow the Bloch vector); None and 0 switch the channel off."""
+    for bad in (-1e-4, math.inf, math.nan):
+        with pytest.raises(ValueError, match=field):
+            NoiseModel(**{field: bad})
+    t = system.transition("allowed_d")
+    for off in (None, 0, 0.0):
+        noise = NoiseModel(**{field: off})
+        assert noise.shot_offset(trajectory_rng(28, 0)) == 0.0
+        assert dyn._pulse_plan(wait(1e-4, t.frequency), system,
+                               noise).t2_decay == 1.0
+
+
 def test_trajectory_windows_recorded(system):
     from jumpspec.dynamics import detect
     sched = [wait(1e-3), detect(2e-3)]
@@ -275,7 +290,9 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
                                       rotation, t2, start, shot_hz, framed,
                                       seed):
     """The closed-form and tabulated maps against the per-step loop: same
-    jumps, levels and random stream; times and Bloch vectors to rounding."""
+    jumps, levels and random stream; times and Bloch vectors to rounding.
+    The first shots carry the static detuning ``shot_hz``, so driven ones
+    run on maps built for the shot, and the rest the memoised maps."""
     sys = fast_system if fast else system
     t = sys.transition("allowed_d")
     noise = NoiseModel(t2=t2)
@@ -302,21 +319,23 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
         if driven:
             assume(drive is not None)
             state.pair = drive.pair
-        else:
-            state.shot_offset = TWO_PI * shot_hz
     if driven:
         assume(drive is not None and drive.tabulable)
     start_state = state
     # several shots per drawn segment: a hazard that is off by p_step**2
     # flips one comparison in ~1e4
     for shot in range(8):
-        state = replace(start_state)
-        ref = replace(start_state)
+        offset = TWO_PI * shot_hz if shot < 4 else 0.0
+        state = replace(start_state, shot_offset=offset)
+        ref = replace(start_state, shot_offset=offset)
         rng, ref_rng = trajectory_rng(seed, shot), trajectory_rng(seed, shot)
+        table = drive.table if driven else None
         events = apply_pulse(state, seg, sys, rng, noise)
         ref_events = _via_step_loop(ref, seg, sys, ref_rng, noise)
-        if driven:
-            assert drive.table is not None          # the maps ran
+        if driven and offset == 0.0:
+            assert drive.table is not None  # the memoised maps ran
+        elif driven:
+            assert drive.table is table     # the shot's maps were not kept
         assert [(e.label, e.photon) for e in events] == [
             (e.label, e.photon) for e in ref_events]
         for e, r in zip(events, ref_events):

@@ -148,6 +148,29 @@ def test_eldor_transfer_at_shifted_line_vanishing_at_zero_duration(system):
     assert driven[0] - undriven[0] > 0.4
 
 
+def test_eldor_and_readout_draw_the_t2_star_detuning(system, detector):
+    """A per-shot static detuning (t2*) reaches the ELDOR pulse and every
+    readout cycle; without t2* nothing is drawn and the scan is the
+    noise-free one."""
+    kwargs = dict(deltas_hz=[-20e3, 0.0], amplitude=TWO_PI * 200e3,
+                  duration=20e-6, prepare="u", n_prep=2, n_shots=6, n_ro=60)
+    clean = eldor_scan(system, detector, 34, **kwargs)
+    assert clean.tolist() == pytest.approx([0.0, 1.0 / 3.0])
+    # t2* = 1 us: a Lorentzian detuning of 160 kHz HWHM
+    noisy = eldor_scan(system, detector, 34, noise=NoiseModel(t2_star=1e-6),
+                       **kwargs)
+    assert noisy.tolist() != pytest.approx(clean.tolist())
+
+    def readout(noise):
+        rng = trajectory_rng(39, 0)
+        state = SystemState(level=system.level_index(0, "d"))
+        rec = single_shot_readout(state, system, detector, rng, n_ro=30,
+                                  noise=noise)
+        return rec.c_down, rec.c_up, _next_draw(rng)
+
+    assert readout(NoiseModel()) != readout(NoiseModel(t2_star=1e-6))
+
+
 def test_rabi_zero_duration_is_no_pulse(system):
     """A zero-length drive leaves the lower level dark (no dark counts
     here); a pi drive of the same amplitude lights it up."""
