@@ -51,13 +51,15 @@ def _emission_times(shot) -> np.ndarray:
 
 
 def count_window(emissions, window, p: DetectorParams, rng) -> int:
-    """Clicks in [t0, t1): detected emissions plus Poisson dark counts."""
+    """Clicks in [t0, t1): detected emissions plus Poisson dark counts.
+
+    ``emissions`` is an iterable of emission times (s), read as given.
+    """
     t0, t1 = window
     if t1 <= t0:
         raise ValueError("window must have positive duration")
-    times = _emission_times(emissions)
     n = 0
-    for t in times:
+    for t in emissions:
         if t0 <= t < t1:
             phase = rng.random() * p.cycle
             if phase >= p.dead and rng.random() < p.epsilon:

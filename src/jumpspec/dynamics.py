@@ -15,10 +15,17 @@ Mølmer, PRL 68, 580, 1992), tabulated once per drive or, under a
 per-shot detuning, once per shot; and the per-step Bloch loop, which is
 kept only for lossy drives, whose no-jump survival is below 1e-6. The
 maps draw the loop's per-step uniforms and make its comparisons, so the
-loop is their reference in the tests. Plans and decay records are
-memoised by value on the ``SpinSystem`` they belong to, so they are
-freed with it. Threads sharing a system may build an entry twice;
-entries depend only on their key, so either copy serves.
+loop is their reference in the tests.
+
+A readout cycle is a few short segments, so the fixed cost of a segment
+matters as much as its physics. Each segment builds its plan key once,
+when it is constructed; the plan carries what the hot path reads (wall
+time, drive targets, step grid), and the first jump of a segment is the
+first step whose uniform falls below its hazard, found without
+collecting the later ones. Plans and decay records are memoised by value
+on the ``SpinSystem`` they belong to, so they are freed with it, and
+keep no per-shot scratch state. Threads sharing a system may build an
+entry twice; entries depend only on their key, so either copy serves.
 
 Optional dephasing (off by default): a static per-shot detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
@@ -79,6 +86,11 @@ class PulseSegment:
             raise ValueError("amplitude must be non-negative")
         if self.kind == "flattop" and not 0 <= 2 * self.edge <= self.duration:
             raise ValueError("flattop edges must fit inside the duration")
+        # the segment's part of its plans' memo key, built once: a plan is
+        # looked up for every segment of every shot
+        object.__setattr__(self, "_plan_key", (
+            self.kind, self.frequency, self.amplitude, self.duration,
+            self.phase, self.edge, self.rotation))
 
     @property
     def wall_time(self) -> float:
@@ -225,15 +237,23 @@ def _collapse(state: SystemState, rng):
 
 
 def _address(seg: PulseSegment, sys: SpinSystem) -> Transition:
-    """Nearest transition to the carrier; error if two sit within 1 kHz."""
-    dist = [(abs(t.frequency - seg.frequency), t) for t in sys.transitions]
-    dist.sort(key=lambda pair: pair[0])
-    near = [t for d, t in dist if d < AMBIGUITY_BAND]
+    """Nearest transition to the carrier, the first of equal distances;
+    error if two sit within 1 kHz, listed nearest first."""
+    carrier = seg.frequency
+    best = best_dist = None
+    near = []
+    for t in sys.transitions:
+        dist = abs(t.frequency - carrier)
+        if best is None or dist < best_dist:
+            best, best_dist = t, dist
+        if dist < AMBIGUITY_BAND:
+            near.append((dist, t))
     if len(near) > 1:
+        near.sort(key=lambda pair: pair[0])
         raise AmbiguousDriveError(
             "carrier within 1 kHz of transitions "
-            + " and ".join(t.label for t in near))
-    return dist[0][1]
+            + " and ".join(t.label for _, t in near))
+    return best
 
 
 def calibrated_amplitude(seg: PulseSegment, sys: SpinSystem) -> float:
@@ -475,12 +495,15 @@ class _PulsePlan:
     candidate is too far off resonance to matter.
     """
 
-    __slots__ = ("sys", "records", "by_level", "n_steps", "dt", "envelope",
-                 "phase", "frame", "t2_decay", "decays")
+    __slots__ = ("sys", "records", "by_level", "wall_time", "driven",
+                 "n_steps", "dt", "envelope", "phase", "frame", "t2_decay",
+                 "decays")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
         self.records = _decays(sys)
+        self.wall_time = seg.wall_time
+        self.driven = seg.driven
         self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.phase = seg.phase
@@ -488,7 +511,7 @@ class _PulsePlan:
         self.t2_decay = math.exp(-self.dt / noise.t2) if noise.t2 else 1.0
         self.decays: dict[int, _StepDecay] = {}
         self.by_level = [None] * len(sys.levels)
-        if not seg.driven:
+        if not self.driven:
             return
         _address(seg, sys)          # ambiguous-carrier guard
         amp = seg.amplitude
@@ -530,10 +553,9 @@ class _PulsePlan:
 def _pulse_plan(seg: PulseSegment, sys: SpinSystem,
                 noise: NoiseModel) -> _PulsePlan:
     """The system's memoised plan of ``seg`` under ``noise``."""
-    # keyed by the segment's fields: the protocols build a new segment per
-    # call, and hashing the dataclass costs more than this tuple
-    key = (noise, seg.kind, seg.frequency, seg.amplitude, seg.duration,
-           seg.phase, seg.edge, seg.rotation)
+    # keyed by the segment's fields, not the segment: equal segments share
+    # a plan, and hashing the dataclass costs more than its stored tuple
+    key = (noise, seg._plan_key)
     plan = sys._memo.get(key)
     if plan is None:
         plan = sys._memo[key] = _PulsePlan(seg, sys, noise)
@@ -561,28 +583,32 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     - the per-step loop, kept only for lossy drives (``not
       drive.tabulable``), too lossy for the tables' precision.
 
-    A jump is stamped at the midpoint of the step it falls in.
+    A jump is stamped at the midpoint of the step it falls in. A
+    zero-length segment returns at once, before any plan is looked up;
+    otherwise the plan, found by the key the segment built when it was
+    constructed, is all the rest of the call reads of the segment.
     """
-    if seg.wall_time == 0.0:
+    # ahead of the plan: a zero-length wait has no step grid
+    if seg.duration == 0.0:
         return []
     plan = _pulse_plan(seg, sys, noise)
-    drive = _enter(state, seg, plan, rng)
+    drive = _enter(state, plan, rng)
     if state.pair is None or state.bloch is None:
-        return _relax(state, plan, seg.wall_time, rng)
+        return _relax(state, plan, plan.wall_time, rng)
     if drive is None:
-        return _free_map(state, seg, plan, rng)
+        return _free_map(state, plan, rng)
     if not drive.tabulable:
-        return _step_loop(state, seg, plan, drive, rng)
+        return _step_loop(state, plan, drive, rng)
     if state.shot_offset != 0.0:
         table = _NoJumpTable(plan, drive, state.shot_offset)
     else:
         table = drive.table
         if table is None:
             table = drive.table = _NoJumpTable(plan, drive)
-    return _table_map(state, seg, plan, drive, table, rng)
+    return _table_map(state, plan, drive, table, rng)
 
 
-def _enter(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
+def _enter(state: SystemState, plan: _PulsePlan, rng):
     """Prepare the coherence a segment evolves; returns its drive or None.
 
     A driven segment keeps an existing coherence only when its carrier
@@ -590,7 +616,7 @@ def _enter(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
     drive target from a pole. An undriven segment resolves a nearly pure
     population state now, so that it runs in the cheap population mode.
     """
-    if seg.driven:
+    if plan.driven:
         if state.bloch is not None and state.pair is not None:
             cont = plan.drive_for(state.pair[0])
             if cont is not None and cont.pair == state.pair:
@@ -608,7 +634,7 @@ def _enter(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
     return None
 
 
-def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
+def _free_map(state: SystemState, plan: _PulsePlan, rng):
     """Closed-form no-jump evolution of a coherence with the drive off.
 
     A rotation about z commutes with the amplitude-damping no-jump map.
@@ -632,16 +658,15 @@ def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
         p_lower = 1.0 - p_upper
         weight = p_upper * decay.survival
         hazard = decay.p_step * weight[:-1] / (p_lower + weight[:-1])
-        hits = np.flatnonzero(uniforms < hazard)
-        if hits.size:
-            i = int(hits[0])
+        i = _first_hit(uniforms < hazard)
+        if i is not None:
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
-                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
                                    rng, events)
             state.bloch = [0.0, 0.0, -1.0]
-            state.time = t0 + seg.wall_time
+            state.time = t0 + plan.wall_time
             return events
         upper_end = float(weight[-1])
         norm = p_lower + upper_end
@@ -652,12 +677,23 @@ def _free_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan, rng):
     angle = detuning * dt * n
     c, s = math.cos(angle), math.sin(angle)
     state.bloch = [(x * c - y * s) * scale, (y * c + x * s) * scale, z]
-    state.time = t0 + seg.wall_time
+    state.time = t0 + plan.wall_time
     return events
 
 
-def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
-               drive: _LevelDrive, table: _NoJumpTable, rng):
+def _first_hit(mask: np.ndarray) -> int | None:
+    """Index of the first true element of a non-empty mask, or None.
+
+    ``argmax`` stops at the first maximum; a check of that one element
+    tells an all-false mask apart. Cheaper than ``np.flatnonzero`` for the
+    short masks of one segment.
+    """
+    i = int(mask.argmax())
+    return i if mask[i] else None
+
+
+def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
+               table: _NoJumpTable, rng):
     """Driven no-jump evolution from a table of the drive's maps.
 
     Each start vector (a pole, the entry coherence, or the restart vector
@@ -682,23 +718,23 @@ def _table_map(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
         while start < n:
             if hazard is None:
                 hazard = (table.num[start:] @ v) / (table.den[start:] @ v)
-            hits = np.flatnonzero(uniforms[start:] < hazard)
-            if not hits.size:
+            hit = _first_hit(uniforms[start:] < hazard)
+            if hit is None:
                 break
-            i = start + int(hits[0])
+            i = start + hit
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != drive.pair[0]:
                 state.time = t0 + (i + 1) * dt
-                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
                                    rng, events)
             v, hazard, start = table.restart(i), None, i + 1
     state.bloch = list(end) if v is None else _bloch(table.end @ v)
-    state.time = t0 + seg.wall_time
+    state.time = t0 + plan.wall_time
     return events
 
 
-def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
-               drive: _LevelDrive | None, rng):
+def _step_loop(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
+               rng):
     """Per-step propagation of the coherence; the reference for the maps.
 
     Each step rotates the Bloch vector about the instantaneous drive
@@ -707,14 +743,9 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
     no-jump map of amplitude damping renormalises the state, so jump
     timing from a partially excited state stays exact.
     """
-    lower, upper = state.pair
-    if drive is not None:
-        decay, trans_freq = drive.decay, drive.trans.frequency
-        omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
-    else:
-        decay = plan.decay_for(upper)
-        trans_freq = _pair_frequency(plan.sys, state.pair)
-        omega_peak, ac_shift = 0.0, 0.0
+    lower = state.pair[0]
+    decay, trans_freq = drive.decay, drive.trans.frequency
+    omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
     p_step, sqrt_survive = decay.p_step, decay.sqrt_survive
     n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
     t2_decay = plan.t2_decay
@@ -755,7 +786,7 @@ def _step_loop(state: SystemState, seg: PulseSegment, plan: _PulsePlan,
         if uniforms[i] < p_upper * p_step:
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
-                return _leave_pair(state, plan, seg.wall_time - (i + 1) * dt,
+                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
                                    rng, events)
             x, y, z = 0.0, 0.0, -1.0
         else:

@@ -50,6 +50,20 @@ def test_emissions_outside_window_ignored():
     assert n == 1
 
 
+@pytest.mark.parametrize("times", [[0.5, 1.0, 1.002, 1.005, 1.0099, 1.01, 2.0],
+                                   []])
+def test_count_window_reads_any_sequence_of_times(times):
+    """A list, a tuple and an array of the same times (some outside the
+    window) give the same count and leave the generator in one state."""
+    p = DetectorParams(epsilon=0.5, gamma_dc=300.0, dead=5e-6)
+    outcomes = set()
+    for emissions in (list(times), tuple(times), np.array(times, dtype=float)):
+        rng = np.random.default_rng(8)
+        n = count_window(emissions, (1.0, 1.01), p, rng)
+        outcomes.add((n, repr(rng.bit_generator.state)))
+    assert len(outcomes) == 1
+
+
 def test_fluorescence_curve_recovers_decay_rate():
     gamma = 800.0
     rng = np.random.default_rng(4)

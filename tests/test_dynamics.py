@@ -3,6 +3,7 @@ reproducibility, noise channels."""
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from jumpspec.dynamics import (NO_NOISE, AmbiguousDriveError, NoiseModel,
                                PulseSegment, SystemState, apply_pulse,
                                gaussian_pi, run_schedule, run_trajectories,
                                trajectory_rng, wait)
-from jumpspec.spinmodel import CavityParams, SpinParams, build_system
+from jumpspec.spinmodel import (CavityParams, SpinParams, Transition,
+                                build_system)
 
 TWO_PI = 2.0 * math.pi
 
@@ -197,6 +199,56 @@ def test_ambiguous_carrier_rejected(system):
     del mid
 
 
+def _address_by_sort(seg, sys):
+    """Reference addressing: sort every line by distance to the carrier
+    (stable, so the first of equal distances stays first)."""
+    dist = [(abs(t.frequency - seg.frequency), t) for t in sys.transitions]
+    dist.sort(key=lambda pair: pair[0])
+    near = [t for d, t in dist if d < dyn.AMBIGUITY_BAND]
+    if len(near) > 1:
+        raise AmbiguousDriveError(
+            "carrier within 1 kHz of transitions "
+            + " and ".join(t.label for t in near))
+    return dist[0][1]
+
+
+def _addressing(seg, sys, address):
+    try:
+        return address(seg, sys), None
+    except AmbiguousDriveError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grid=st.lists(st.integers(0, 60), min_size=1, max_size=6),
+       data=st.data())
+def test_address_matches_sorted_reference(grid, data):
+    """Lines on a 256 rad/s grid (the band spans about 25 steps), so
+    equal distances and two lines in one band are common. Carriers sit on
+    a line, inside or at the edge of its band, or halfway between two
+    lines. The grid starts at 0 rad/s, where the edge carriers of the low
+    lines lie exactly one band away."""
+    lines = tuple(Transition(label=f"line{i}", lower=0, upper=1,
+                             frequency=256.0 * k, matrix_element=0.5,
+                             nuclear_flips=())
+                  for i, k in enumerate(grid))
+    sys = SimpleNamespace(transitions=lines)
+    band = dyn.AMBIGUITY_BAND
+    f = data.draw(st.sampled_from(lines)).frequency
+    g = data.draw(st.sampled_from(lines)).frequency
+    carrier = data.draw(st.one_of(
+        st.just(f), st.just(0.5 * (f + g)),
+        st.floats(f - band, f + band),
+        st.sampled_from([f - band, f + band,
+                         math.nextafter(f + band, -math.inf),
+                         math.nextafter(f - band, math.inf)])))
+    seg = gaussian_pi(carrier)
+    got, got_error = _addressing(seg, sys, dyn._address)
+    want, want_error = _addressing(seg, sys, _address_by_sort)
+    assert got is want
+    assert got_error == want_error
+
+
 def test_static_offset_detunes_the_pulse(system):
     t = system.transition("allowed_d")
     noise = NoiseModel(t2_star=50e-6)
@@ -256,6 +308,15 @@ def test_trajectory_windows_recorded(system):
         assert tr.final_time == pytest.approx(3e-3)
 
 
+@pytest.mark.parametrize("mask", [[False] * 5, [True, False, False],
+                                  [False, False, True],
+                                  [False, True, False, True, True], [True]])
+def test_first_hit_matches_flatnonzero(mask):
+    mask = np.array(mask)
+    hits = np.flatnonzero(mask)
+    assert dyn._first_hit(mask) == (int(hits[0]) if hits.size else None)
+
+
 @pytest.fixture(scope="module")
 def fast_system():
     """Purcell lifetime ~13 us: most pulses see jumps, including jumps
@@ -265,9 +326,16 @@ def fast_system():
 
 
 def _via_step_loop(state, seg, sys, rng, noise):
+    """``apply_pulse`` through the per-step loop; an undriven segment runs
+    it with a zero drive on the carried pair."""
     plan = dyn._pulse_plan(seg, sys, noise)
-    drive = dyn._enter(state, seg, plan, rng)
-    return dyn._step_loop(state, seg, plan, drive, rng)
+    drive = dyn._enter(state, plan, rng)
+    if drive is None:
+        drive = SimpleNamespace(
+            omega_peak=0.0, ac_shift=0.0, decay=plan.decay_for(state.pair[1]),
+            trans=SimpleNamespace(
+                frequency=dyn._pair_frequency(sys, state.pair)))
+    return dyn._step_loop(state, plan, drive, rng)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
