@@ -12,8 +12,9 @@ population mode when no coherence is carried; no-jump maps, in closed
 form for free evolution and from cumulative 4x4 maps for driven
 segments, both linear on the unnormalised state (Dalibard, Castin &
 Mølmer, PRL 68, 580, 1992), tabulated once per drive or, under a
-per-shot detuning, once per shot; and the per-step Bloch loop, which is
-kept only for lossy drives, whose no-jump survival is below 1e-6. The
+per-shot detuning, once per drive and offset, so a shot's repeated
+pulses share one table; and the per-step Bloch loop, which is kept only
+for lossy drives, whose no-jump survival is below 1e-6. The
 maps draw the loop's per-step uniforms and make its comparisons, so the
 loop is their reference in the tests.
 
@@ -23,9 +24,12 @@ when it is constructed; the plan carries what the hot path reads (wall
 time, drive targets, step grid), and the first jump of a segment is the
 first step whose uniform falls below its hazard, found without
 collecting the later ones. Plans and decay records are memoised by value
-on the ``SpinSystem`` they belong to, so they are freed with it, and
-keep no per-shot scratch state. Threads sharing a system may build an
-entry twice; entries depend only on their key, so either copy serves.
+on the ``SpinSystem`` they belong to, so they are freed with it. Their
+only per-shot state is one slot per drive holding the table of the last
+shot offset it ran under, which the next offset replaces, so memory does
+not grow with the number of shots. Threads sharing a system may build an
+entry or a shot table twice; each depends only on its key (the offset,
+for a shot table), so either copy serves.
 
 Optional dephasing (off by default): a static per-shot detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
@@ -349,7 +353,7 @@ class _LevelDrive:
     """Per-level drive target: the transition a pulse actually works on."""
 
     __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "decay",
-                 "tabulable", "table")
+                 "tabulable", "table", "shot_table")
 
     def __init__(self, trans, amp_filt, omega_peak, sys, decay, survival):
         self.trans = trans
@@ -361,6 +365,9 @@ class _LevelDrive:
         self.decay = decay
         self.tabulable = survival >= _MIN_SURVIVAL
         self.table = None           # _NoJumpTable, built on first use
+        # (offset, table) of the last per-shot detuning this drive ran
+        # under: a shot's repeated pulses reuse it, a new offset replaces it
+        self.shot_table = (0.0, None)
 
 
 class _NoJumpTable:
@@ -382,10 +389,11 @@ class _NoJumpTable:
     The cumulative maps come from a doubling scan, ceil(log2 n) batched
     products (Hillis & Steele, CACM 29, 1170, 1986). A table with a shot
     ``offset`` (rad/s, subtracted from the detuning as in the step loop)
-    serves one segment of one shot: it keeps the cumulative maps and
-    solves a restart vector only when a jump needs one. A memoised table
-    (no offset) solves them all at once, keeps the pole starts, and drops
-    the cumulative maps.
+    serves the drive's segments of one shot, held in the drive's
+    ``shot_table`` slot until the next offset: it keeps the cumulative
+    maps and solves a restart vector only when a jump needs one. A
+    memoised table (no offset) solves them all at once, keeps the pole
+    starts, and drops the cumulative maps. No reader mutates a table.
     """
 
     __slots__ = ("num", "den", "end", "prefix", "restarts", "pole_hazard",
@@ -576,10 +584,12 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       across the whole segment (``_relax``);
     - no-jump maps: the closed form for an undriven coherence, the
       drive's tabulated cumulative maps for a driven one (memoised on the
-      drive, or built for this shot and dropped after the segment under
-      a per-shot ``t2_star`` detuning); one uniform per step is drawn and
-      compared with the step's hazard, as in the step loop, so events,
-      levels and random stream match it up to rounding;
+      drive or, under a per-shot ``t2_star`` detuning, kept in the
+      drive's one-entry ``shot_table`` slot, which the shot's later
+      segments on the drive reuse while the offset is equal); one
+      uniform per step is drawn and compared with the step's hazard, as
+      in the step loop, so events, levels and random stream match it up
+      to rounding;
     - the per-step loop, kept only for lossy drives (``not
       drive.tabulable``), too lossy for the tables' precision.
 
@@ -599,8 +609,14 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
         return _free_map(state, plan, rng)
     if not drive.tabulable:
         return _step_loop(state, plan, drive, rng)
-    if state.shot_offset != 0.0:
-        table = _NoJumpTable(plan, drive, state.shot_offset)
+    offset = state.shot_offset
+    if offset != 0.0:
+        # one read of the slot: a thread sharing the drive may replace it,
+        # which costs a rebuild at worst
+        shot_offset, table = drive.shot_table
+        if shot_offset != offset:
+            table = _NoJumpTable(plan, drive, offset)
+            drive.shot_table = (offset, table)
     else:
         table = drive.table
         if table is None:

@@ -9,7 +9,10 @@ Each protocol compiles its schedule (a tuple of segments) once per call
 and runs every shot through :func:`_run`. Compiling applies the skip
 rule: a pulse with no transition within its bandwidth (excitation below
 1e-6) becomes an equal-length wait, which keeps long sweeps affordable
-without touching the physics near resonance.
+without touching the physics near resonance. A spectroscopy sweep's
+offsets and schedule are memoised on the system, keyed by the sweep's
+carriers, pulse width and window, because traces call the sweep once
+per repetition; every ``Spectrum`` still gets its own offsets array.
 """
 
 from __future__ import annotations
@@ -123,19 +126,33 @@ def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
     frequency scan per repetition), so slow state changes show up as
     averaged peak weights. The state persists and is mutated.
     """
-    deltas = np.arange(-span_hz / 2.0, span_hz / 2.0 + step_hz / 2.0, step_hz)
-    blank, window = wait(BLANKING), dyn.detect(t_int)
-    schedule = tuple(seg for d_hz in deltas
-                     for seg in (_pulse(sys, center + TWO_PI * d_hz,
-                                        pulse_fwhm), blank, window))
+    deltas, schedule = _sweep_schedule(sys, center, span_hz, step_hz,
+                                       pulse_fwhm, t_int)
     counts = np.zeros(deltas.size)
     start = state.time
     for _ in range(n_averages):
         if noise.t2_star:
             state.shot_offset = noise.shot_offset(rng)
         counts += _run(state, schedule, sys, det, rng, noise)
-    return Spectrum(delta_hz=deltas, counts=counts, center=center,
+    return Spectrum(delta_hz=deltas.copy(), counts=counts, center=center,
                     n_averages=n_averages, start_time=start)
+
+
+def _sweep_schedule(sys: SpinSystem, center: float, span_hz: float,
+                    step_hz: float, pulse_fwhm: float, t_int: float):
+    """The system's memoised ``(deltas, schedule)`` of a sweep: per
+    offset, the pi pulse (or its skip wait), the blanking and the window."""
+    key = (spectroscopy_sweep, center, span_hz, step_hz, pulse_fwhm, t_int)
+    compiled = sys._memo.get(key)
+    if compiled is None:
+        deltas = np.arange(-span_hz / 2.0, span_hz / 2.0 + step_hz / 2.0,
+                           step_hz)
+        blank, window = wait(BLANKING), dyn.detect(t_int)
+        schedule = tuple(seg for d_hz in deltas
+                         for seg in (_pulse(sys, center + TWO_PI * d_hz,
+                                            pulse_fwhm), blank, window))
+        compiled = sys._memo[key] = (deltas, schedule)
+    return compiled
 
 
 def trace_experiment(sys: SpinSystem, det: DetectorParams, seed: int,

@@ -134,7 +134,8 @@ class SpinSystem:
     levels: tuple[tuple[int, str], ...]
     transitions: tuple[Transition, ...]
     channels: tuple[tuple[DecayChannel, ...], ...]
-    # the jump engine's pulse plans and decay records (see dynamics)
+    # the jump engine's pulse plans and decay records (see dynamics) and
+    # the compiled spectroscopy sweeps (see sequencer)
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 

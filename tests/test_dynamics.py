@@ -449,8 +449,9 @@ def test_no_jump_cache_is_independent_of_shot_count():
         for plan in sys._memo.values():
             if isinstance(plan, dyn._PulsePlan):
                 drives = set(d for d in plan.by_level if d is not None)
-                n += len(plan.decays) + sum(d.table is not None
-                                            for d in drives)
+                n += len(plan.decays) + sum(
+                    (d.table is not None) + (d.shot_table[1] is not None)
+                    for d in drives)
         return n
 
     def run(shots):
@@ -459,6 +460,34 @@ def test_no_jump_cache_is_independent_of_shot_count():
         return cached()
 
     assert run(10) == run(100)
+
+
+def test_shot_table_is_built_once_per_offset(monkeypatch):
+    """Under t2* a Ramsey shot's two pi/2 pulses run on one drive and one
+    offset, so they share one table; the next shot's offset rebuilds it."""
+    from jumpspec.detector import DetectorParams
+    from jumpspec.sequencer import ramsey_experiment
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+    noise = NoiseModel(t2_star=100e-6)
+    built = []
+    table_class = dyn._NoJumpTable
+
+    def counted(plan, drive, offset=0.0):
+        built.append(offset)
+        return table_class(plan, drive, offset)
+
+    monkeypatch.setattr(dyn, "_NoJumpTable", counted)
+    ramsey_experiment(sys, DetectorParams(), 41, transition="allowed_d",
+                      delays=[0.0, 60e-6], n_averages=5, noise=noise)
+    assert len(built) == 10 and len(set(built)) == 10 and 0.0 not in built
+    # a later pulse under the last shot's offset finds its table in the slot
+    t = sys.transition("allowed_d")
+    half = gaussian_pi(t.frequency + TWO_PI * 1e3, fwhm=20e-6,
+                       rotation=math.pi / 2)
+    state = SystemState(level=t.lower, shot_offset=built[-1])
+    apply_pulse(state, half, sys, trajectory_rng(41, 0), noise)
+    assert len(built) == 10
 
 
 def test_memo_is_freed_with_its_system():

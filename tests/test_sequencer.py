@@ -298,6 +298,19 @@ def _pinned_echo(system, det):
                            noise=NoiseModel(t2=200e-6)).tolist()
 
 
+def _pinned_echo_t2star(system, det):
+    return echo_experiment(system, det, 39, transition="allowed_d",
+                           delays=[0.0, 50e-6, 100e-6], n_averages=20,
+                           noise=NoiseModel(t2_star=100e-6)).tolist()
+
+
+def _pinned_eldor_t2star(system, det):
+    return eldor_scan(system, det, 40, deltas_hz=[-20e3, 0.0],
+                      amplitude=TWO_PI * 200e3, duration=20e-6, prepare="u",
+                      n_prep=2, n_shots=4, n_ro=60,
+                      noise=NoiseModel(t2_star=100e-6)).tolist()
+
+
 # Outputs recorded before the protocols were compiled into schedules: any
 # change in the order or number of random draws shows up here. Times are
 # sums of segment lengths and are compared to rounding.
@@ -311,6 +324,9 @@ PINNED = {
     _pinned_rabi: [0.25, 0.3, 0.35],
     _pinned_ramsey: [0.3, 0.4, 0.3],
     _pinned_echo: [0.4, 0.2, 0.65],
+    # recorded before a shot's pulses shared their per-shot tables
+    _pinned_echo_t2star: [0.3, 0.2, 0.25],
+    _pinned_eldor_t2star: [0.25, 0.25],
 }
 
 
@@ -318,6 +334,80 @@ PINNED = {
                          ids=lambda f: f.__name__.removeprefix("_pinned_"))
 def test_protocol_random_stream_is_pinned(system, detector, run):
     assert run(system, detector) == PINNED[run]
+
+
+T2_STAR = NoiseModel(t2_star=100e-6)
+
+
+def _with_draws(protocol, monkeypatch):
+    """``protocol(system)`` as a function of the system returning its
+    output and the final state of every shot's generator."""
+    rngs = []
+
+    def recorded(seed, index):
+        rngs.append(trajectory_rng(seed, index))
+        return rngs[-1]
+
+    def run(system):
+        rngs.clear()
+        with monkeypatch.context() as m:
+            m.setattr(sequencer, "trajectory_rng", recorded)
+            out = protocol(system)
+        return out.tolist(), [repr(r.bit_generator.state) for r in rngs]
+    return run
+
+
+def _warm_ramsey(delays, n_averages):
+    return lambda system: ramsey_experiment(
+        system, DetectorParams(), 42, transition="allowed_d", delays=delays,
+        n_averages=n_averages, noise=T2_STAR)
+
+
+def _warm_echo(delays, n_averages):
+    return lambda system: echo_experiment(
+        system, DetectorParams(), 43, transition="allowed_d", delays=delays,
+        n_averages=n_averages, noise=T2_STAR)
+
+
+def _fresh_system():
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    return build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+
+
+@pytest.mark.parametrize("protocol", [_warm_ramsey, _warm_echo],
+                         ids=["ramsey", "echo"])
+def test_warm_memo_gives_the_fresh_system_result(protocol, monkeypatch):
+    """Plans, tables and shot tables left by an earlier call change no
+    output and no draw. The warm-up runs the first delay's first shot, so
+    the measured call starts on the warm-up's shot table."""
+    delays = [0.0, 50e-6, 100e-6]
+    run = _with_draws(protocol(delays, 4), monkeypatch)
+    fresh = run(_fresh_system())
+    warm = _fresh_system()
+    protocol(delays[:1], 1)(warm)
+    assert run(warm) == fresh
+
+
+def test_warm_memo_gives_the_fresh_sweep(detector):
+    """A sweep compiled and run before on the system gives the same
+    counts, state and draws as on a fresh one, and every spectrum owns
+    its offsets."""
+    def sweep(system):
+        rng = trajectory_rng(44, 0)
+        state = SystemState(level=system.level_index(0, "u"))
+        sp = spectroscopy_sweep(state, system, detector, rng,
+                                center=system.params.omega_s, span_hz=60e3,
+                                step_hz=6e3, n_averages=1, t_int=1e-3,
+                                noise=T2_STAR)
+        return sp, (sp.counts.tolist(), sp.delta_hz.tolist(), state.level,
+                    state.time, repr(rng.bit_generator.state))
+
+    fresh = sweep(_fresh_system())[1]
+    warm = _fresh_system()
+    first, _ = sweep(warm)
+    assert sweep(warm)[1] == fresh
+    first.delta_hz[:] = 0.0
+    assert sweep(warm)[1] == fresh
 
 
 def test_every_segment_and_window_goes_through_the_traced_names(
