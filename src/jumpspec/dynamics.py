@@ -7,16 +7,16 @@ tracked as classical populations. Radiative decays — allowed and
 cross-relaxation branches — are sampled as stochastic jumps, each
 emitting one cavity photon; photon loss is the detector's business.
 
-A segment propagates on one of three paths (see ``apply_pulse``):
-population mode when no coherence is carried; no-jump maps, in closed
-form for free evolution and from cumulative 4x4 maps for driven
+A segment propagates on one of two paths (see ``apply_pulse``):
+population mode when no coherence is carried; and no-jump maps, in
+closed form for free evolution and from cumulative 4x4 maps for driven
 segments, both linear on the unnormalised state (Dalibard, Castin &
 Mølmer, PRL 68, 580, 1992), tabulated once per drive or, under a
 per-shot detuning, once per drive and offset, so a shot's repeated
-pulses share one table; and the per-step Bloch loop, which is kept only
-for lossy drives, whose no-jump survival is below 1e-6. The
-maps draw the loop's per-step uniforms and make its comparisons, so the
-loop is their reference in the tests.
+pulses share one table. A lossy drive's maps are tabulated in blocks of
+steps. The maps draw one uniform per step and compare it with the
+step's jump hazard, as a per-step Bloch loop would, so such a loop is
+their reference in the tests.
 
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
@@ -168,7 +168,7 @@ class SystemState:
 
     level: int
     time: float = 0.0
-    bloch: np.ndarray | None = None          # (x, y, z) of the driven pair
+    bloch: list[float] | None = None         # (x, y, z) of the driven pair
     pair: tuple[int, int] | None = None      # (lower, upper) eigenlevel indices
     shot_offset: float = 0.0                 # static detuning this shot (rad/s)
 
@@ -318,9 +318,10 @@ def _envelope_samples(seg: PulseSegment, n_steps: int, dt: float):
 
 _WEIGHT_FLOOR = 1e-4
 
-#: Smallest no-jump survival over a driven segment for which the tabulated
-#: maps are used. The restart vectors invert the cumulative map, so their
-#: relative rounding error is about 2e-16 / survival (2e-10 here).
+#: Smallest no-jump survival over one block of a drive's tabulated maps,
+#: which sets the block length. The restart vectors invert the cumulative
+#: map of a block, so their relative rounding error is about
+#: 2e-16 / survival (2e-10 here).
 _MIN_SURVIVAL = 1e-6
 
 
@@ -353,9 +354,9 @@ class _LevelDrive:
     """Per-level drive target: the transition a pulse actually works on."""
 
     __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "decay",
-                 "tabulable", "table", "shot_table")
+                 "block", "table", "shot_table")
 
-    def __init__(self, trans, amp_filt, omega_peak, sys, decay, survival):
+    def __init__(self, trans, amp_filt, omega_peak, sys, decay, block):
         self.trans = trans
         self.pair = (trans.lower, trans.upper)
         self.omega_peak = omega_peak
@@ -363,7 +364,7 @@ class _LevelDrive:
         # power as ac_shift * envelope**2
         self.ac_shift = ac_zeeman_shift(sys, trans, amp_filt)
         self.decay = decay
-        self.tabulable = survival >= _MIN_SURVIVAL
+        self.block = block          # steps per block of the tabulated maps
         self.table = None           # _NoJumpTable, built on first use
         # (offset, table) of the last per-shot detuning this drive ran
         # under: a shot's repeated pulses reuse it, a new offset replaces it
@@ -386,21 +387,29 @@ class _NoJumpTable:
     from it. The population basis keeps the trace of a decaying upper
     level exact (no cancellation between n and Z).
 
-    The cumulative maps come from a doubling scan, ceil(log2 n) batched
-    products (Hillis & Steele, CACM 29, 1170, 1986). A table with a shot
-    ``offset`` (rad/s, subtracted from the detuning as in the step loop)
-    serves the drive's segments of one shot, held in the drive's
-    ``shot_table`` slot until the next offset: it keeps the cumulative
-    maps and solves a restart vector only when a jump needs one. A
-    memoised table (no offset) solves them all at once, keeps the pole
-    starts, and drops the cumulative maps. No reader mutates a table.
+    The step grid is split into blocks of ``drive.block`` steps, the
+    longest whose no-jump survival is at least ``_MIN_SURVIVAL``; a drive
+    that is not lossy has one block. Each block's cumulative maps start
+    at the identity, so ``num``, ``den``, the restart vectors and the
+    block's end map (in ``spans`` the one that carries the state into the
+    next block, ``end`` the last) act on the state at the block's start,
+    and a restart never inverts a map of lower survival. The cumulative
+    maps come from a doubling scan within each block, ceil(log2 block)
+    batched products (Hillis & Steele, CACM 29, 1170, 1986). A table with
+    a shot ``offset`` (rad/s, subtracted from the detuning as in
+    ``_free_map``) serves the drive's segments of one shot, held in the
+    drive's ``shot_table`` slot until the next offset: it keeps the
+    cumulative maps and solves a restart vector only when a jump needs
+    one. A memoised table (no offset) solves them all at once, keeps the
+    pole starts of a one-block table, and drops the cumulative maps. No
+    reader mutates a table.
     """
 
-    __slots__ = ("num", "den", "end", "prefix", "restarts", "pole_hazard",
-                 "pole_end")
+    __slots__ = ("num", "den", "end", "spans", "prefix", "restarts",
+                 "pole_hazard", "pole_end")
 
     def __init__(self, plan, drive, offset: float = 0.0):
-        n = plan.n_steps
+        n, block = plan.n_steps, drive.block
         env = np.asarray(plan.envelope)
         wx = drive.omega_peak * env
         detuning = (plan.frame - drive.trans.frequency - offset
@@ -416,27 +425,38 @@ class _NoJumpTable:
         step_map = (weights[:, None, None] * _STEP_BASIS).reshape(16, 10)
         steps = (_rotation_features(w, plan.dt) @ step_map.T).reshape(n, 4, 4)
         prefix = steps.copy()
-        k = 1
-        while k < n:
-            prefix[k:] = prefix[k:] @ prefix[:-k]
-            k *= 2
-        before = np.concatenate([np.eye(4)[None], prefix[:-1]])
+        for first in range(0, n, block):
+            part = prefix[first:first + block]
+            k = 1
+            while k < len(part):
+                part[k:] = part[k:] @ part[:-k]
+                k *= 2
+        eye = np.eye(4)
+        before = np.concatenate([eye[None], prefix[:-1]])
+        before[block::block] = eye      # each block starts at the identity
         self.den = before[:, 0] + before[:, 1]
         # row 1 of a step is the rotated upper population times q
         self.num = (decay.p_step / q) * np.einsum("ij,ijk->ik", steps[:, 1],
                                                   before)
+        ends, self.end = prefix[block - 1::block], prefix[-1]
+        if offset == 0.0:               # copies free the cumulative maps
+            ends, self.end = ends.copy(), self.end.copy()
+        # (first step, stop, end map of the block before) of each block
+        self.spans = tuple((first, min(first + block, n),
+                            ends[first // block - 1] if first else None)
+                           for first in range(0, n, block))
         self.prefix = self.restarts = self.pole_hazard = self.pole_end = None
         if offset != 0.0:
-            self.prefix, self.end = prefix, prefix[-1]
+            self.prefix = prefix
             return
-        self.end = prefix[-1].copy()
         if decay.p_step > 0.0:
             lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
             self.restarts = np.linalg.solve(prefix, lower)[..., 0]
-        # pole starts (v = e_0 or e_1): the readout's common case
-        self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
-                            self.num[:, 1] / self.den[:, 1])
-        self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
+        if block == n:
+            # pole starts (v = e_0 or e_1): the readout's common case
+            self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
+                                self.num[:, 1] / self.den[:, 1])
+            self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
 
     def restart(self, i: int) -> np.ndarray:
         if self.restarts is not None:
@@ -538,11 +558,21 @@ class _PulsePlan:
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
                 decay = _StepDecay(self.records[best.upper], self.dt)
-                survival = ((1.0 - decay.p_step)
-                            * self.t2_decay) ** self.n_steps
                 drive = drives[best] = _LevelDrive(
-                    best, amp * filt, omega_peak, sys, decay, survival)
+                    best, amp * filt, omega_peak, sys, decay,
+                    self._block(decay))
             self.by_level[level] = drive
+
+    def _block(self, decay: _StepDecay) -> int:
+        """Steps per block of a drive's maps: all of them, or the most
+        whose no-jump survival stays at least ``_MIN_SURVIVAL``."""
+        step = (1.0 - decay.p_step) * self.t2_decay
+        if step ** self.n_steps >= _MIN_SURVIVAL:
+            return self.n_steps
+        if step == 0.0:     # the t2 factor of one step underflows
+            raise ValueError(f"t2 is too short for a drive step of "
+                             f"{self.dt:.3g} s")
+        return max(1, int(math.log(_MIN_SURVIVAL) / math.log(step)))
 
     def drive_for(self, level: int):
         return self.by_level[level] if 0 <= level < len(self.by_level) else None
@@ -578,20 +608,19 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     the upper level sampled as jumps on the plan's step grid;
     ``wait``/``detect_window`` precess any surviving coherence in the
     frame of ``seg.frequency`` (0 freezes the phase) while relaxation
-    continues. A segment runs on one of three paths:
+    continues. A segment runs on one of two paths:
 
     - population mode, when no coherence is carried: plain relaxation
       across the whole segment (``_relax``);
-    - no-jump maps: the closed form for an undriven coherence, the
-      drive's tabulated cumulative maps for a driven one (memoised on the
-      drive or, under a per-shot ``t2_star`` detuning, kept in the
-      drive's one-entry ``shot_table`` slot, which the shot's later
-      segments on the drive reuse while the offset is equal); one
+    - no-jump maps: the closed form for an undriven coherence
+      (``_free_map``), the drive's tabulated cumulative maps for a driven
+      one (``_table_map``; memoised on the drive or, under a per-shot
+      ``t2_star`` detuning, kept in the drive's one-entry ``shot_table``
+      slot, which the shot's later segments on the drive reuse while the
+      offset is equal). A lossy drive's maps run block by block. One
       uniform per step is drawn and compared with the step's hazard, as
-      in the step loop, so events, levels and random stream match it up
-      to rounding;
-    - the per-step loop, kept only for lossy drives (``not
-      drive.tabulable``), too lossy for the tables' precision.
+      a per-step Bloch loop would, so events, levels and random stream
+      match such a loop up to rounding.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -607,8 +636,6 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
         return _relax(state, plan, plan.wall_time, rng)
     if drive is None:
         return _free_map(state, plan, rng)
-    if not drive.tabulable:
-        return _step_loop(state, plan, drive, rng)
     offset = state.shot_offset
     if offset != 0.0:
         # one read of the slot: a thread sharing the drive may replace it,
@@ -714,8 +741,10 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
 
     Each start vector (a pole, the entry coherence, or the restart vector
     after a jump back to the lower level) costs two mat-vecs for the
-    hazards of the remaining steps and one for the end state; a memoised
-    table has the pole starts precomputed.
+    hazards of the remaining steps of its block and one for the block's
+    end state; a memoised one-block table has the pole starts
+    precomputed. At a block boundary the state is carried by the block's
+    end map and renormalised to unit trace.
     """
     decay = drive.decay
     n, dt = plan.n_steps, plan.dt
@@ -728,13 +757,17 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
     else:
         v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
         hazard = None
-    if decay.record.total > 0:
-        uniforms = rng.random(n)
-        start = 0
-        while start < n:
+    uniforms = rng.random(n) if decay.record.total > 0 else None
+    for start, stop, carry in table.spans:
+        if carry is not None:
+            v = carry @ v
+            v /= v[0] + v[1]
+            hazard = None
+        while uniforms is not None and start < stop:
             if hazard is None:
-                hazard = (table.num[start:] @ v) / (table.den[start:] @ v)
-            hit = _first_hit(uniforms[start:] < hazard)
+                hazard = ((table.num[start:stop] @ v)
+                          / (table.den[start:stop] @ v))
+            hit = _first_hit(uniforms[start:stop] < hazard)
             if hit is None:
                 break
             i = start + hit
@@ -746,71 +779,6 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
             v, hazard, start = table.restart(i), None, i + 1
     state.bloch = list(end) if v is None else _bloch(table.end @ v)
     state.time = t0 + plan.wall_time
-    return events
-
-
-def _step_loop(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
-               rng):
-    """Per-step propagation of the coherence; the reference for the maps.
-
-    Each step rotates the Bloch vector about the instantaneous drive
-    (Rodrigues), applies the t2 factor, and compares one pre-drawn
-    uniform with the step's jump hazard; without a jump the conditional
-    no-jump map of amplitude damping renormalises the state, so jump
-    timing from a partially excited state stays exact.
-    """
-    lower = state.pair[0]
-    decay, trans_freq = drive.decay, drive.trans.frequency
-    omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
-    p_step, sqrt_survive = decay.p_step, decay.sqrt_survive
-    n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
-    t2_decay = plan.t2_decay
-    frame = plan.frame
-    uniforms = rng.random(n_steps) if decay.record.total > 0 else None
-    x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
-               float(state.bloch[2]))
-    detuning = (frame - trans_freq - state.shot_offset
-                if frame != 0.0 else 0.0)
-    cphi, sphi = math.cos(plan.phase), math.sin(plan.phase)
-    t0 = state.time
-    events: list[JumpEvent] = []
-    for i in range(n_steps):
-        env_i = envelope[i]
-        wx = omega_peak * env_i
-        wy = wx * sphi
-        wx *= cphi
-        # AC-Zeeman shift follows the instantaneous drive power
-        wz = detuning - ac_shift * env_i * env_i \
-            if ac_shift != 0.0 else detuning
-        # Rodrigues rotation about (wx, wy, wz) * dt
-        norm2 = wx * wx + wy * wy + wz * wz
-        if norm2 > 1e-28:
-            inv = 1.0 / math.sqrt(norm2)
-            angle = dt / inv
-            ax, ay, az = wx * inv, wy * inv, wz * inv
-            c, s = math.cos(angle), math.sin(angle)
-            dot = (ax * x + ay * y + az * z) * (1.0 - c)
-            x, y, z = (x * c + (ay * z - az * y) * s + ax * dot,
-                       y * c + (az * x - ax * z) * s + ay * dot,
-                       z * c + (ax * y - ay * x) * s + az * dot)
-        x *= t2_decay
-        y *= t2_decay
-        state.time = t0 + (i + 1) * dt
-        if uniforms is None:
-            continue
-        p_upper = 0.5 * (1.0 + z)
-        if uniforms[i] < p_upper * p_step:
-            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
-            if state.level != lower:
-                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
-                                   rng, events)
-            x, y, z = 0.0, 0.0, -1.0
-        else:
-            norm = 1.0 - p_upper * p_step
-            x *= sqrt_survive / norm
-            y *= sqrt_survive / norm
-            z = (p_upper * (1.0 - p_step) - (1.0 - p_upper)) / norm
-    state.bloch = [x, y, z]
     return events
 
 

@@ -299,6 +299,22 @@ def test_noise_model_rejects_invalid_times(system, field):
                                noise).t2_decay == 1.0
 
 
+def test_drive_rejects_t2_below_its_step(fast_system):
+    """A t2 whose decay factor over one drive step underflows to 0 leaves
+    the no-jump maps singular: the plan fails loudly, while a free
+    segment, which never inverts a map, still runs."""
+    t = fast_system.transition("allowed_d")
+    noise = NoiseModel(t2=1e-12)
+    with pytest.raises(ValueError, match="t2 is too short"):
+        apply_pulse(SystemState(level=t.lower), gaussian_pi(t.frequency),
+                    fast_system, trajectory_rng(29, 0), noise)
+    state = SystemState(level=t.lower, bloch=[1.0, 0.0, 0.0],
+                        pair=(t.lower, t.upper))
+    apply_pulse(state, wait(1e-4, t.frequency), fast_system,
+                trajectory_rng(29, 1), noise)
+    assert state.bloch is None or state.bloch[:2] == [0.0, 0.0]
+
+
 def test_trajectory_windows_recorded(system):
     from jumpspec.dynamics import detect
     sched = [wait(1e-3), detect(2e-3)]
@@ -325,6 +341,71 @@ def fast_system():
     return build_system(p, CavityParams.from_hz(7.334e9, 640e3, 45e3))
 
 
+def _step_loop(state, plan, drive, rng):
+    """Per-step propagation of the coherence; the reference for the maps.
+
+    Each step rotates the Bloch vector about the instantaneous drive
+    (Rodrigues), applies the t2 factor, and compares one pre-drawn
+    uniform with the step's jump hazard; without a jump the conditional
+    no-jump map of amplitude damping renormalises the state, so jump
+    timing from a partially excited state stays exact.
+    """
+    lower = state.pair[0]
+    decay, trans_freq = drive.decay, drive.trans.frequency
+    omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
+    p_step, sqrt_survive = decay.p_step, decay.sqrt_survive
+    n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
+    t2_decay = plan.t2_decay
+    frame = plan.frame
+    uniforms = rng.random(n_steps) if decay.record.total > 0 else None
+    x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
+               float(state.bloch[2]))
+    detuning = (frame - trans_freq - state.shot_offset
+                if frame != 0.0 else 0.0)
+    cphi, sphi = math.cos(plan.phase), math.sin(plan.phase)
+    t0 = state.time
+    events = []
+    for i in range(n_steps):
+        env_i = envelope[i]
+        wx = omega_peak * env_i
+        wy = wx * sphi
+        wx *= cphi
+        # AC-Zeeman shift follows the instantaneous drive power
+        wz = detuning - ac_shift * env_i * env_i \
+            if ac_shift != 0.0 else detuning
+        # Rodrigues rotation about (wx, wy, wz) * dt
+        norm2 = wx * wx + wy * wy + wz * wz
+        if norm2 > 1e-28:
+            inv = 1.0 / math.sqrt(norm2)
+            angle = dt / inv
+            ax, ay, az = wx * inv, wy * inv, wz * inv
+            c, s = math.cos(angle), math.sin(angle)
+            dot = (ax * x + ay * y + az * z) * (1.0 - c)
+            x, y, z = (x * c + (ay * z - az * y) * s + ax * dot,
+                       y * c + (az * x - ax * z) * s + ay * dot,
+                       z * c + (ax * y - ay * x) * s + az * dot)
+        x *= t2_decay
+        y *= t2_decay
+        state.time = t0 + (i + 1) * dt
+        if uniforms is None:
+            continue
+        p_upper = 0.5 * (1.0 + z)
+        if uniforms[i] < p_upper * p_step:
+            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
+            if state.level != lower:
+                return dyn._leave_pair(state, plan,
+                                       plan.wall_time - (i + 1) * dt, rng,
+                                       events)
+            x, y, z = 0.0, 0.0, -1.0
+        else:
+            norm = 1.0 - p_upper * p_step
+            x *= sqrt_survive / norm
+            y *= sqrt_survive / norm
+            z = (p_upper * (1.0 - p_step) - (1.0 - p_upper)) / norm
+    state.bloch = [x, y, z]
+    return events
+
+
 def _via_step_loop(state, seg, sys, rng, noise):
     """``apply_pulse`` through the per-step loop; an undriven segment runs
     it with a zero drive on the carried pair."""
@@ -335,7 +416,23 @@ def _via_step_loop(state, seg, sys, rng, noise):
             omega_peak=0.0, ac_shift=0.0, decay=plan.decay_for(state.pair[1]),
             trans=SimpleNamespace(
                 frequency=dyn._pair_frequency(sys, state.pair)))
-    return dyn._step_loop(state, plan, drive, rng)
+    return _step_loop(state, plan, drive, rng)
+
+
+def _assert_same_shot(state, events, rng, ref, ref_events, ref_rng):
+    """Same jumps, levels, pair and random stream; times and Bloch vectors
+    to rounding."""
+    assert [(e.label, e.photon) for e in events] == [
+        (e.label, e.photon) for e in ref_events]
+    for e, r in zip(events, ref_events):
+        assert abs(e.time - r.time) < 1e-12
+    assert state.level == ref.level and state.pair == ref.pair
+    assert abs(state.time - ref.time) < 1e-12
+    assert (repr(rng.bit_generator.state)
+            == repr(ref_rng.bit_generator.state))
+    assert (state.bloch is None) == (ref.bloch is None)
+    if state.bloch is not None:
+        np.testing.assert_allclose(state.bloch, ref.bloch, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -388,7 +485,7 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
             assume(drive is not None)
             state.pair = drive.pair
     if driven:
-        assume(drive is not None and drive.tabulable)
+        assume(drive is not None)
     start_state = state
     # several shots per drawn segment: a hazard that is off by p_step**2
     # flips one comparison in ~1e4
@@ -404,18 +501,7 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
             assert drive.table is not None  # the memoised maps ran
         elif driven:
             assert drive.table is table     # the shot's maps were not kept
-        assert [(e.label, e.photon) for e in events] == [
-            (e.label, e.photon) for e in ref_events]
-        for e, r in zip(events, ref_events):
-            assert abs(e.time - r.time) < 1e-12
-        assert state.level == ref.level and state.pair == ref.pair
-        assert abs(state.time - ref.time) < 1e-12
-        assert (repr(rng.bit_generator.state)
-                == repr(ref_rng.bit_generator.state))
-        assert (state.bloch is None) == (ref.bloch is None)
-        if state.bloch is not None:
-            np.testing.assert_allclose(state.bloch, ref.bloch, rtol=0,
-                                       atol=1e-9)
+        _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
 
 
 def test_window_photons_lie_inside_the_window(system):
@@ -527,17 +613,32 @@ def test_decay_records_are_shared_across_noise_models():
 
 
 def test_lossy_drive_keeps_step_loop_precision(fast_system):
-    """A drive spanning ~30 and ~80 lifetimes: too lossy for the tables'
-    restart vectors, so the segment must still match the step loop."""
+    """Drives spanning ~30 to ~230 lifetimes: their maps are tabulated in
+    blocks, and each segment must still match the step loop. The strong
+    drive jumps back into the pair in many blocks, some of them in a
+    block's last step, where the restart crosses the boundary."""
     t = fast_system.transition("allowed_d")
-    for duration in (400e-6, 1e-3):
-        seg = PulseSegment(kind="square", frequency=t.frequency,
-                           duration=duration)
+    cases = [(PulseSegment(kind="square", frequency=t.frequency,
+                           duration=duration), NO_NOISE)
+             for duration in (400e-6, 1e-3)]
+    cases += [(PulseSegment(kind="square", frequency=t.frequency
+                            + TWO_PI * 3e3, amplitude=TWO_PI * 40e3,
+                            duration=duration), NoiseModel(t2=t2))
+              for duration in (400e-6, 1e-3, 3e-3) for t2 in (None, 30e-6)]
+    at_block_end = 0
+    for seg, noise in cases:
+        plan = dyn._pulse_plan(seg, fast_system, noise)
+        block = plan.drive_for(t.lower).block
+        assert block < plan.n_steps
         for i in range(50):
             state, ref = SystemState(level=t.lower), SystemState(level=t.lower)
             rng, ref_rng = trajectory_rng(25, i), trajectory_rng(25, i)
-            events = apply_pulse(state, seg, fast_system, rng)
-            ref_events = _via_step_loop(ref, seg, fast_system, ref_rng,
-                                        NO_NOISE)
-            assert [e.label for e in events] == [e.label for e in ref_events]
-            assert state.level == ref.level and state.bloch == ref.bloch
+            events = apply_pulse(state, seg, fast_system, rng, noise)
+            ref_events = _via_step_loop(ref, seg, fast_system, ref_rng, noise)
+            _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
+            # steps of the jumps back into the pair
+            steps = [round(e.time / plan.dt - 0.5) for e in events
+                     if e.label == t.label]
+            at_block_end += sum((k + 1) % block == 0 and k + 1 < plan.n_steps
+                                for k in steps)
+    assert at_block_end > 0

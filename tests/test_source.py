@@ -43,3 +43,38 @@ def test_every_parameter_is_read():
     found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
              for hit in unread_parameters(path.read_text())]
     assert found == []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """``module line N`` for each import of scipy or of a scipy submodule,
+    at any depth (a function body included)."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [f"{m} line {node.lineno}" for m in modules
+                  if m == "scipy" or m.startswith("scipy.")]
+    return found
+
+
+def test_checker_flags_a_scipy_import():
+    source = ("import numpy, scipy\n"
+              "from scipy.optimize import least_squares\n"
+              "from .scipy_like import x\n"
+              "def f():\n"
+              "    import scipyx\n"
+              "    import scipy.linalg as la\n")
+    assert scipy_imports(source) == ["scipy line 1", "scipy.optimize line 2",
+                                     "scipy.linalg line 6"]
+
+
+def test_package_imports_no_scipy():
+    """scipy is a test-only dependency: the installed package runs on
+    numpy, pyyaml and click alone."""
+    found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in scipy_imports(path.read_text())]
+    assert found == []
