@@ -276,28 +276,15 @@ def excitation_count_correction(duration: float,
     """Effective excitations per sweep crossing of a resonance.
 
     The pulse's spectral excitation bandwidth is the FWHM of the power
-    spectrum of its Gaussian amplitude envelope of FWHM ``duration``
-    (direct FFT; 0.62/T for a FWHM T); the correction is bandwidth /
-    sweep step, floored at one pulse.
+    spectrum of its Gaussian amplitude envelope of FWHM ``duration``.
+    For the envelope's sigma that spectrum is exp(-(2 pi f sigma)**2),
+    whose FWHM is sqrt(ln 2) / (pi sigma), about 0.62/T for a FWHM T.
+    The correction is bandwidth / sweep step, floored at one pulse.
     """
     if duration <= 0 or sweep_step_hz <= 0:
         raise ValueError("duration and sweep step must be positive")
-    n = 4096
-    window = 8.0 * duration
-    t = (np.arange(n) - n / 2) * (window / n)
     sigma = duration / 2.3548200450309493
-    env = np.exp(-0.5 * (t / sigma) ** 2)
-    spectrum = np.abs(np.fft.rfft(env)) ** 2
-    freqs = np.fft.rfftfreq(n, window / n)
-    half = 0.5 * spectrum[0]
-    above = spectrum >= half
-    idx = int(np.argmin(above))        # first bin below half maximum
-    if idx == 0:
-        bandwidth = freqs[-1] * 2.0
-    else:
-        f0, f1 = freqs[idx - 1], freqs[idx]
-        s0, s1 = spectrum[idx - 1], spectrum[idx]
-        bandwidth = 2.0 * (f0 + (half - s0) * (f1 - f0) / (s1 - s0))
+    bandwidth = math.sqrt(math.log(2.0)) / (math.pi * sigma)
     return max(1.0, bandwidth / sweep_step_hz)
 
 

@@ -11,12 +11,11 @@ A segment propagates on one of two paths (see ``apply_pulse``):
 population mode when no coherence is carried; and no-jump maps, in
 closed form for free evolution and from cumulative 4x4 maps for driven
 segments, both linear on the unnormalised state (Dalibard, Castin &
-Mølmer, PRL 68, 580, 1992), tabulated once per drive or, under a
-per-shot detuning, once per drive and offset, so a shot's repeated
-pulses share one table. A lossy drive's maps are tabulated in blocks of
-steps. The maps draw one uniform per step and compare it with the
-step's jump hazard, as a per-step Bloch loop would, so such a loop is
-their reference in the tests.
+Mølmer, PRL 68, 580, 1992), tabulated once per drive and shot offset.
+A lossy drive's maps are tabulated in blocks of steps. The maps draw one
+uniform per step and compare it with the step's jump hazard, as a
+per-step Bloch loop would, so such a loop is their reference in the
+tests.
 
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
@@ -25,11 +24,13 @@ time, drive targets, step grid), and the first jump of a segment is the
 first step whose uniform falls below its hazard, found without
 collecting the later ones. Plans and decay records are memoised by value
 on the ``SpinSystem`` they belong to, so they are freed with it. Their
-only per-shot state is one slot per drive holding the table of the last
-shot offset it ran under, which the next offset replaces, so memory does
-not grow with the number of shots. Threads sharing a system may build an
-entry or a shot table twice; each depends only on its key (the offset,
-for a shot table), so either copy serves.
+only per-shot state is one table slot per drive, holding the table of
+the last shot offset the drive ran under: without t2* that offset is 0
+for good, and under t2* a shot's repeated pulses share the slot until
+the next offset replaces it, so memory does not grow with the number of
+shots. Threads sharing a system may build a plan or a table twice; each
+depends only on its key (the offset, for a table), so either copy
+serves.
 
 Optional dephasing (off by default): a static per-shot detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
@@ -172,6 +173,11 @@ class SystemState:
     pair: tuple[int, int] | None = None      # (lower, upper) eigenlevel indices
     shot_offset: float = 0.0                 # static detuning this shot (rad/s)
 
+    def __post_init__(self):
+        # a negative index would read the levels from the end
+        if self.level < 0:
+            raise ValueError(f"level must be non-negative, got {self.level}")
+
 
 @dataclass(frozen=True)
 class JumpEvent:
@@ -190,7 +196,7 @@ class Trajectory:
     final_time: float
 
     def emission_times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events if e.photon])
+        return np.array([e.time for e in self.events])
 
 
 class _Decay:
@@ -354,7 +360,7 @@ class _LevelDrive:
     """Per-level drive target: the transition a pulse actually works on."""
 
     __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "decay",
-                 "block", "table", "shot_table")
+                 "block", "table")
 
     def __init__(self, trans, amp_filt, omega_peak, sys, decay, block):
         self.trans = trans
@@ -365,10 +371,9 @@ class _LevelDrive:
         self.ac_shift = ac_zeeman_shift(sys, trans, amp_filt)
         self.decay = decay
         self.block = block          # steps per block of the tabulated maps
-        self.table = None           # _NoJumpTable, built on first use
-        # (offset, table) of the last per-shot detuning this drive ran
-        # under: a shot's repeated pulses reuse it, a new offset replaces it
-        self.shot_table = (0.0, None)
+        # (offset, _NoJumpTable) of the last shot offset this drive ran
+        # under, built on first use; a new offset replaces it
+        self.table = (None, None)
 
 
 class _NoJumpTable:
@@ -395,13 +400,16 @@ class _NoJumpTable:
     next block, ``end`` the last) act on the state at the block's start,
     and a restart never inverts a map of lower survival. The cumulative
     maps come from a doubling scan within each block, ceil(log2 block)
-    batched products (Hillis & Steele, CACM 29, 1170, 1986). A table with
-    a shot ``offset`` (rad/s, subtracted from the detuning as in
-    ``_free_map``) serves the drive's segments of one shot, held in the
-    drive's ``shot_table`` slot until the next offset: it keeps the
-    cumulative maps and solves a restart vector only when a jump needs
-    one. A memoised table (no offset) solves them all at once, keeps the
-    pole starts of a one-block table, and drops the cumulative maps. No
+    batched products (Hillis & Steele, CACM 29, 1170, 1986). A one-block
+    table also holds the hazards and end state of the two pole starts, the
+    readout's common case.
+
+    A table lives in its drive's one slot for as long as the shot
+    ``offset`` (rad/s, subtracted from the detuning as in ``_free_map``)
+    stays the same. At offset 0 that is for good, so the table solves
+    every restart vector at once and drops the cumulative maps. A
+    per-shot offset serves only one shot's segments, so its table keeps
+    the maps and solves a restart vector only when a jump needs one. No
     reader mutates a table.
     """
 
@@ -439,21 +447,22 @@ class _NoJumpTable:
         self.num = (decay.p_step / q) * np.einsum("ij,ijk->ik", steps[:, 1],
                                                   before)
         ends, self.end = prefix[block - 1::block], prefix[-1]
-        if offset == 0.0:               # copies free the cumulative maps
+        self.prefix = self.restarts = None
+        if offset != 0.0:
+            self.prefix = prefix
+        else:
+            if decay.p_step > 0.0:
+                lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
+                self.restarts = np.linalg.solve(prefix, lower)[..., 0]
+            # copies free the cumulative maps
             ends, self.end = ends.copy(), self.end.copy()
         # (first step, stop, end map of the block before) of each block
         self.spans = tuple((first, min(first + block, n),
                             ends[first // block - 1] if first else None)
                            for first in range(0, n, block))
-        self.prefix = self.restarts = self.pole_hazard = self.pole_end = None
-        if offset != 0.0:
-            self.prefix = prefix
-            return
-        if decay.p_step > 0.0:
-            lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
-            self.restarts = np.linalg.solve(prefix, lower)[..., 0]
+        self.pole_hazard = self.pole_end = None
         if block == n:
-            # pole starts (v = e_0 or e_1): the readout's common case
+            # pole starts: v = e_0 or e_1
             self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
                                 self.num[:, 1] / self.den[:, 1])
             self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
@@ -575,7 +584,7 @@ class _PulsePlan:
         return max(1, int(math.log(_MIN_SURVIVAL) / math.log(step)))
 
     def drive_for(self, level: int):
-        return self.by_level[level] if 0 <= level < len(self.by_level) else None
+        return self.by_level[level]
 
     def decay_for(self, level: int) -> _StepDecay:
         """Decay of the upper level of an undriven coherence."""
@@ -614,13 +623,13 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       across the whole segment (``_relax``);
     - no-jump maps: the closed form for an undriven coherence
       (``_free_map``), the drive's tabulated cumulative maps for a driven
-      one (``_table_map``; memoised on the drive or, under a per-shot
-      ``t2_star`` detuning, kept in the drive's one-entry ``shot_table``
-      slot, which the shot's later segments on the drive reuse while the
-      offset is equal). A lossy drive's maps run block by block. One
-      uniform per step is drawn and compared with the step's hazard, as
-      a per-step Bloch loop would, so events, levels and random stream
-      match such a loop up to rounding.
+      one (``_table_map``). The table sits in the drive's one slot,
+      built for the shot offset of the segment that filled it; a segment
+      under another offset replaces it. Without ``t2_star`` the offset is
+      always 0, and one table serves every shot. A lossy drive's maps run
+      block by block. One uniform per step is drawn and compared with the
+      step's hazard, as a per-step Bloch loop would, so events, levels
+      and random stream match such a loop up to rounding.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -636,18 +645,12 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
         return _relax(state, plan, plan.wall_time, rng)
     if drive is None:
         return _free_map(state, plan, rng)
-    offset = state.shot_offset
-    if offset != 0.0:
-        # one read of the slot: a thread sharing the drive may replace it,
-        # which costs a rebuild at worst
-        shot_offset, table = drive.shot_table
-        if shot_offset != offset:
-            table = _NoJumpTable(plan, drive, offset)
-            drive.shot_table = (offset, table)
-    else:
-        table = drive.table
-        if table is None:
-            table = drive.table = _NoJumpTable(plan, drive)
+    # one read of the slot: a thread sharing the drive may replace it,
+    # which costs a rebuild at worst
+    offset, table = drive.table
+    if offset != state.shot_offset:
+        table = _NoJumpTable(plan, drive, state.shot_offset)
+        drive.table = (state.shot_offset, table)
     return _table_map(state, plan, drive, table, rng)
 
 
@@ -742,9 +745,9 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
     Each start vector (a pole, the entry coherence, or the restart vector
     after a jump back to the lower level) costs two mat-vecs for the
     hazards of the remaining steps of its block and one for the block's
-    end state; a memoised one-block table has the pole starts
-    precomputed. At a block boundary the state is carried by the block's
-    end map and renormalised to unit trace.
+    end state; a one-block table has the pole starts precomputed. At a
+    block boundary the state is carried by the block's end map and
+    renormalised to unit trace.
     """
     decay = drive.decay
     n, dt = plan.n_steps, plan.dt
@@ -831,21 +834,6 @@ def trajectory_rng(seed: int, index: int):
     return np.random.Generator(np.random.Philox(key=[seed, index]))
 
 
-def run_schedule(state: SystemState, schedule, sys: SpinSystem, rng,
-                 noise: NoiseModel = NO_NOISE):
-    """Run one shot of a schedule; returns (events, detection windows)."""
-    events: list[JumpEvent] = []
-    windows: list[tuple[float, float]] = []
-    for seg in schedule:
-        if seg.kind == "detect_window":
-            t0 = state.time
-            events += apply_pulse(state, seg, sys, rng, noise)
-            windows.append((t0, state.time))
-        else:
-            events += apply_pulse(state, seg, sys, rng, noise)
-    return events, windows
-
-
 def run_trajectories(n: int, schedule, sys: SpinSystem, seed: int,
                      noise: NoiseModel = NO_NOISE,
                      initial_level: int = 0) -> list[Trajectory]:
@@ -855,9 +843,15 @@ def run_trajectories(n: int, schedule, sys: SpinSystem, seed: int,
     out = []
     for index in range(n):
         rng = trajectory_rng(seed, index)
-        state = SystemState(level=initial_level)
-        state.shot_offset = noise.shot_offset(rng)
-        events, windows = run_schedule(state, schedule, sys, rng, noise)
+        state = SystemState(level=initial_level,
+                            shot_offset=noise.shot_offset(rng))
+        events: list[JumpEvent] = []
+        windows: list[tuple[float, float]] = []
+        for seg in schedule:
+            t0 = state.time
+            events += apply_pulse(state, seg, sys, rng, noise)
+            if seg.kind == "detect_window":
+                windows.append((t0, state.time))
         _collapse(state, rng)
         out.append(Trajectory(events=tuple(events), windows=tuple(windows),
                               final_level=state.level, final_time=state.time))

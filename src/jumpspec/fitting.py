@@ -104,23 +104,9 @@ def curve_fit(model_jac, x, y, p0, **kwargs) -> FitResult:
 # ---------------------------------------------------------------------------
 # model library: each returns (values, d(values)/d(params))
 
-def lorentzian(x, p):
-    """p = (center, fwhm, amplitude, offset); amplitude is the peak height."""
-    center, fwhm, amp, off = p
-    u = 2.0 * (x - center) / fwhm
-    denom = 1.0 + u * u
-    val = off + amp / denom
-    d_denom = -amp / denom ** 2
-    jac = np.empty((x.size, 4))
-    jac[:, 0] = d_denom * (-4.0 * u / fwhm)
-    jac[:, 1] = d_denom * (-2.0 * u * u / fwhm)
-    jac[:, 2] = 1.0 / denom
-    jac[:, 3] = 1.0
-    return val, jac
-
-
 def multi_lorentzian(x, p):
-    """p = (c1, w1, a1, ..., cn, wn, an, offset): shared additive offset."""
+    """p = (c1, w1, a1, ..., cn, wn, an, offset): shared additive offset;
+    each amplitude is its peak's height above the offset."""
     n = (len(p) - 1) // 3
     off = p[-1]
     val = np.full(x.size, off)

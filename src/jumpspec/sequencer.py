@@ -108,7 +108,7 @@ def _run(state: SystemState, schedule, sys: SpinSystem, det: DetectorParams,
         t0 = state.time
         events = apply_pulse(state, seg, sys, rng, noise)
         if seg.kind == "detect_window":
-            emissions = [e.time for e in events if e.photon]
+            emissions = [e.time for e in events]
             counts.append(count_window(emissions, (t0, t0 + seg.duration),
                                        det, rng))
     return counts

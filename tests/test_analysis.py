@@ -121,6 +121,12 @@ def test_excitation_count_correction_gaussian():
     # 80 us Gaussian swept in 2 kHz steps: bandwidth/step ~ 3.9
     corr = analysis.excitation_count_correction(80e-6, 2e3)
     assert corr == pytest.approx(3.93, rel=0.05)
+    # the bandwidth is the exact FWHM of the power spectrum
+    # exp(-(2 pi f sigma)**2) of the envelope
+    f_half = corr * 2e3 / 2.0
+    sigma = 80e-6 / 2.3548200450309493
+    assert math.exp(-(2.0 * math.pi * f_half * sigma) ** 2) == (
+        pytest.approx(0.5, rel=1e-9))
     # a step larger than the bandwidth floors at one pulse
     assert analysis.excitation_count_correction(80e-6, 50e3) == 1.0
     with pytest.raises(ValueError):

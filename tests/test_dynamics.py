@@ -14,8 +14,8 @@ from scipy import stats
 from jumpspec import dynamics as dyn
 from jumpspec.dynamics import (NO_NOISE, AmbiguousDriveError, NoiseModel,
                                PulseSegment, SystemState, apply_pulse,
-                               gaussian_pi, run_schedule, run_trajectories,
-                               trajectory_rng, wait)
+                               gaussian_pi, run_trajectories, trajectory_rng,
+                               wait)
 from jumpspec.spinmodel import (CavityParams, SpinParams, Transition,
                                 build_system)
 
@@ -133,6 +133,19 @@ def test_conditional_decay_after_partial_excitation(system):
     gamma = system.total_rate(t.upper)
     res = stats.kstest(np.array(times), "expon", args=(0.0, 1.0 / gamma))
     assert res.pvalue > 0.01
+
+
+def test_level_out_of_range_fails_loudly(system):
+    """A negative level is rejected as the state is made; one past the
+    last level fails on the first segment that reads it."""
+    with pytest.raises(ValueError, match="level"):
+        SystemState(level=-1)
+    n = len(system.levels)
+    for seg in (wait(5e-3),
+                gaussian_pi(system.transition("allowed_d").frequency)):
+        with pytest.raises(IndexError):
+            apply_pulse(SystemState(level=n), seg, system,
+                        trajectory_rng(15, 1))
 
 
 def test_zero_duration_wait_is_noop(system):
@@ -456,8 +469,8 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
                                       seed):
     """The closed-form and tabulated maps against the per-step loop: same
     jumps, levels and random stream; times and Bloch vectors to rounding.
-    The first shots carry the static detuning ``shot_hz``, so driven ones
-    run on maps built for the shot, and the rest the memoised maps."""
+    The first shots carry the static detuning ``shot_hz`` and the rest
+    none, so a driven segment's table slot is filled once per offset."""
     sys = fast_system if fast else system
     t = sys.transition("allowed_d")
     noise = NoiseModel(t2=t2)
@@ -494,13 +507,10 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
         state = replace(start_state, shot_offset=offset)
         ref = replace(start_state, shot_offset=offset)
         rng, ref_rng = trajectory_rng(seed, shot), trajectory_rng(seed, shot)
-        table = drive.table if driven else None
         events = apply_pulse(state, seg, sys, rng, noise)
         ref_events = _via_step_loop(ref, seg, sys, ref_rng, noise)
-        if driven and offset == 0.0:
-            assert drive.table is not None  # the memoised maps ran
-        elif driven:
-            assert drive.table is table     # the shot's maps were not kept
+        if driven:
+            assert drive.table[0] == offset     # the shot's maps ran
         _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
 
 
@@ -535,9 +545,8 @@ def test_no_jump_cache_is_independent_of_shot_count():
         for plan in sys._memo.values():
             if isinstance(plan, dyn._PulsePlan):
                 drives = set(d for d in plan.by_level if d is not None)
-                n += len(plan.decays) + sum(
-                    (d.table is not None) + (d.shot_table[1] is not None)
-                    for d in drives)
+                n += len(plan.decays) + sum(d.table[1] is not None
+                                            for d in drives)
         return n
 
     def run(shots):
@@ -550,9 +559,10 @@ def test_no_jump_cache_is_independent_of_shot_count():
 
 def test_shot_table_is_built_once_per_offset(monkeypatch):
     """Under t2* a Ramsey shot's two pi/2 pulses run on one drive and one
-    offset, so they share one table; the next shot's offset rebuilds it."""
+    offset, so they share one table; the next shot's offset rebuilds it.
+    Without t2* a drive's one table serves every readout cycle."""
     from jumpspec.detector import DetectorParams
-    from jumpspec.sequencer import ramsey_experiment
+    from jumpspec.sequencer import ramsey_experiment, single_shot_readout
     p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
     sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
     noise = NoiseModel(t2_star=100e-6)
@@ -574,6 +584,18 @@ def test_shot_table_is_built_once_per_offset(monkeypatch):
     state = SystemState(level=t.lower, shot_offset=built[-1])
     apply_pulse(state, half, sys, trajectory_rng(41, 0), noise)
     assert len(built) == 10
+
+    def readout_tables(n_ro):
+        """Tables a noise-free readout builds on a fresh system: offset 0
+        for good, so one per drive, however many cycles run."""
+        built.clear()
+        fresh = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
+        single_shot_readout(SystemState(level=0), fresh, DetectorParams(),
+                            trajectory_rng(42, 0), n_ro=n_ro)
+        assert set(built) == {0.0}
+        return len(built)
+
+    assert readout_tables(5) == readout_tables(50)
 
 
 def test_memo_is_freed_with_its_system():

@@ -12,9 +12,9 @@ def test_lorentzian_fit_recovers_parameters():
     rng = np.random.default_rng(0)
     x = np.linspace(-50e3, 50e3, 101)
     truth = np.array([5e3, 8e3, 10.0, 1.0])
-    y, _ = fitting.lorentzian(x, truth)
+    y, _ = fitting.multi_lorentzian(x, truth)
     y += rng.normal(0, 0.1, x.size)
-    res = fitting.curve_fit(fitting.lorentzian, x, y,
+    res = fitting.curve_fit(fitting.multi_lorentzian, x, y,
                             np.array([0.0, 10e3, 8.0, 0.5]))
     assert res.converged
     # the width enters only squared, so its sign is a gauge freedom
@@ -26,9 +26,9 @@ def test_lorentzian_fit_recovers_parameters():
 def test_cost_history_is_monotone():
     rng = np.random.default_rng(1)
     x = np.linspace(-50e3, 50e3, 60)
-    y, _ = fitting.lorentzian(x, np.array([2e3, 12e3, 5.0, 1.0]))
+    y, _ = fitting.multi_lorentzian(x, np.array([2e3, 12e3, 5.0, 1.0]))
     y += rng.normal(0, 0.2, x.size)
-    res = fitting.curve_fit(fitting.lorentzian, x, y,
+    res = fitting.curve_fit(fitting.multi_lorentzian, x, y,
                             np.array([-6e3, 25e3, 3.0, 0.0]))
     hist = res.cost_history
     assert np.all(np.diff(hist) <= 0)
@@ -45,7 +45,7 @@ def test_nan_residual_does_not_converge():
 
 
 @pytest.mark.parametrize("model,p", [
-    (fitting.lorentzian, np.array([1e3, 4e3, 2.0, 0.3])),
+    (fitting.multi_lorentzian, np.array([1e3, 4e3, 2.0, 0.3])),
     (fitting.double_gaussian, np.array([-5.0, 2.0, 1.0, 6.0, 3.0, 0.7])),
     (fitting.multi_lorentzian,
      np.array([-8e3, 3e3, 1.0, 9e3, 5e3, 0.6, 0.2])),
@@ -67,8 +67,8 @@ def test_multi_lorentzian_is_sum_of_singles():
     x = np.linspace(-30e3, 30e3, 101)
     p = np.array([-5e3, 4e3, 2.0, 8e3, 6e3, 1.0, 0.5])
     y, _ = fitting.multi_lorentzian(x, p)
-    y1, _ = fitting.lorentzian(x, np.array([-5e3, 4e3, 2.0, 0.0]))
-    y2, _ = fitting.lorentzian(x, np.array([8e3, 6e3, 1.0, 0.0]))
+    y1, _ = fitting.multi_lorentzian(x, np.array([-5e3, 4e3, 2.0, 0.0]))
+    y2, _ = fitting.multi_lorentzian(x, np.array([8e3, 6e3, 1.0, 0.0]))
     assert np.allclose(y, y1 + y2 + 0.5)
 
 
@@ -78,16 +78,17 @@ def test_covariance_scales_with_noise():
     sigmas = []
     for noise in (0.05, 0.5):
         rng = np.random.default_rng(7)
-        y, _ = fitting.lorentzian(x, truth)
+        y, _ = fitting.multi_lorentzian(x, truth)
         y += rng.normal(0, noise, x.size)
-        res = fitting.curve_fit(fitting.lorentzian, x, y, truth * 1.1 + 1.0)
+        res = fitting.curve_fit(fitting.multi_lorentzian, x, y,
+                                truth * 1.1 + 1.0)
         sigmas.append(res.sigma[0])
     assert sigmas[1] > 5 * sigmas[0]
 
 
 def test_gradient_convergence_flag():
     x = np.linspace(-30e3, 30e3, 20)
-    y, _ = fitting.lorentzian(x, np.array([1e3, 8e3, 2.0, 0.1]))
-    res = fitting.curve_fit(fitting.lorentzian, x, y,
+    y, _ = fitting.multi_lorentzian(x, np.array([1e3, 8e3, 2.0, 0.1]))
+    res = fitting.curve_fit(fitting.multi_lorentzian, x, y,
                             np.array([-2e3, 12e3, 1.0, 0.0]))
     assert res.converged and res.cost < 1e-12
