@@ -68,30 +68,31 @@ def _write_jsonl(path: Path, records) -> None:
 
 def _grid(params, prefix, default_lo, default_hi, default_n):
     """Either an explicit ``<prefix>_values`` list or a lo/hi/n range."""
-    values = params.get(f"{prefix}_values")
+    values = params.pop(f"{prefix}_values", None)
     if values is not None:
         return np.asarray(values, dtype=float)
-    lo = params.get(f"{prefix}_min", default_lo)
-    hi = params.get(f"{prefix}_max", default_hi)
-    n = int(params.get(f"{prefix}_points", default_n))
+    lo = params.pop(f"{prefix}_min", default_lo)
+    hi = params.pop(f"{prefix}_max", default_hi)
+    n = int(params.pop(f"{prefix}_points", default_n))
     return np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
-# protocol runners: each returns (artifact file names, summary dict)
+# protocol runners: each pops the parameters it reads from ``exp.params``
+# (a copy) and returns (artifact file names, summary dict)
 
 def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     trace = sequencer.trace_experiment(
         ctx.sys, ctx.det, ctx.seed,
-        n_spectra=int(p.get("n_spectra", 1)),
-        initial_level=int(p.get("initial_level", 0)),
-        center=p.get("center", ctx.sys.params.omega_s / TWO_PI) * TWO_PI,
-        span_hz=p.get("span", 100e3),
-        step_hz=p.get("step", 2e3),
-        n_averages=int(p.get("n_averages", 50)),
-        pulse_fwhm=p.get("pulse_fwhm", 80e-6),
-        t_int=p.get("t_int", 2.0e-3))
+        n_spectra=int(p.pop("n_spectra", 1)),
+        initial_level=int(p.pop("initial_level", 0)),
+        center=p.pop("center", ctx.sys.params.omega_s / TWO_PI) * TWO_PI,
+        span_hz=p.pop("span", 100e3),
+        step_hz=p.pop("step", 2e3),
+        n_averages=int(p.pop("n_averages", 50)),
+        pulse_fwhm=p.pop("pulse_fwhm", 80e-6),
+        t_int=p.pop("t_int", 2.0e-3))
     rows = [(i, d, int(c), c / sp.n_averages)
             for i, sp in enumerate(trace.spectra)
             for d, c in zip(sp.delta_hz, sp.counts)]
@@ -113,9 +114,9 @@ def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
 def _run_readout(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     n_ro_values = [int(v) for v in
-                   np.atleast_1d(p.get("n_ro_values", [50, 100, 200]))]
-    n_shots = int(p.get("n_shots", 20))
-    t_d = p.get("t_d", 2.6e-3)
+                   np.atleast_1d(p.pop("n_ro_values", [50, 100, 200]))]
+    n_shots = int(p.pop("n_shots", 20))
+    t_d = p.pop("t_d", 2.6e-3)
     down, up = sequencer.readout_pair(ctx.sys)
     records, p_success = [], []
     shot_index = 0
@@ -162,13 +163,13 @@ def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
     p_down = sequencer.eldor_scan(
         ctx.sys, ctx.det, ctx.seed,
         deltas_hz=deltas,
-        amplitude=TWO_PI * p.get("amplitude", 200e3),
-        duration=p.get("duration", 50e-6),
-        prepare=p.get("prepare", "d"),
-        n_prep=int(p.get("n_prep", 3)),
-        n_shots=int(p.get("n_shots", 20)),
-        n_ro=int(p.get("n_ro", 100)),
-        t_d=p.get("t_d", 2.6e-3))
+        amplitude=TWO_PI * p.pop("amplitude", 200e3),
+        duration=p.pop("duration", 50e-6),
+        prepare=p.pop("prepare", "d"),
+        n_prep=int(p.pop("n_prep", 3)),
+        n_shots=int(p.pop("n_shots", 20)),
+        n_ro=int(p.pop("n_ro", 100)),
+        t_d=p.pop("t_d", 2.6e-3))
     fname = f"{ctx.name}_eldor.csv"
     _write_csv(ctx.outdir / fname, ["delta_hz", "p_down"],
                zip(deltas, p_down))
@@ -180,10 +181,10 @@ def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
 
 def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
-    target = p.get("target", "d")
-    n_prep_values = [int(v) for v in np.atleast_1d(p.get("n_prep_values",
+    target = p.pop("target", "d")
+    n_prep_values = [int(v) for v in np.atleast_1d(p.pop("n_prep_values",
                                                          [1, 2, 4]))]
-    n_shots = int(p.get("n_shots", 40))
+    n_shots = int(p.pop("n_shots", 40))
     rows = []
     for k, n_prep in enumerate(n_prep_values):
         hit = 0
@@ -203,23 +204,23 @@ def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
 def _run_oscillation(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     taus = _grid(p, "tau", 0.0, 200e-6, 21)
-    kwargs = dict(transition=p.get("transition", "allowed_d"),
-                  n_averages=int(p.get("n_averages", 50)),
-                  t_int=p.get("t_int", 2.0e-3))
+    kwargs = dict(transition=p.pop("transition", "allowed_d"),
+                  n_averages=int(p.pop("n_averages", 50)),
+                  t_int=p.pop("t_int", 2.0e-3))
     if exp.protocol == "rabi":
         signal = sequencer.rabi_experiment(
             ctx.sys, ctx.det, ctx.seed, durations=taus,
-            amplitude=TWO_PI * p.get("amplitude", 50e3), **kwargs)
+            amplitude=TWO_PI * p.pop("amplitude", 50e3), **kwargs)
     elif exp.protocol == "ramsey":
         signal = sequencer.ramsey_experiment(
             ctx.sys, ctx.det, ctx.seed, delays=taus,
-            detuning_hz=p.get("detuning", 5e3),
-            noise=sequencer.NoiseModel(t2_star=p.get("t2_star", 0.0)),
+            detuning_hz=p.pop("detuning", 5e3),
+            noise=sequencer.NoiseModel(t2_star=p.pop("t2_star", 0.0)),
             **kwargs)
     else:
         signal = sequencer.echo_experiment(
             ctx.sys, ctx.det, ctx.seed, delays=taus,
-            noise=sequencer.NoiseModel(t2=p.get("t2", 0.0)), **kwargs)
+            noise=sequencer.NoiseModel(t2=p.pop("t2", 0.0)), **kwargs)
     fname = f"{ctx.name}_{exp.protocol}.csv"
     _write_csv(ctx.outdir / fname, ["tau_s", "mean_counts"],
                zip(taus, signal))
@@ -229,17 +230,17 @@ def _run_oscillation(exp: ExperimentConfig, ctx: RunContext):
 
 def _run_tracking(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
-    tracker = TrackerState(p_gain=p.get("p_gain", 10.0),
-                           i_gain=p.get("i_gain", 1e-3),
-                           f=p.get("f", 2000.0),
-                           tau=p.get("tau", 25e-6))
-    drift_rate = TWO_PI * p.get("drift_hz_per_min", 1e3) / 60.0
+    tracker = TrackerState(p_gain=p.pop("p_gain", 10.0),
+                           i_gain=p.pop("i_gain", 1e-3),
+                           f=p.pop("f", 2000.0),
+                           tau=p.pop("tau", 25e-6))
+    drift_rate = TWO_PI * p.pop("drift_hz_per_min", 1e3) / 60.0
     rec = run_tracking(
-        tracker, slope=p.get("slope", 50.0),
+        tracker, slope=p.pop("slope", 50.0),
         drift=lambda t: drift_rate * t,
-        n_iter=int(p.get("n_iter", 2000)), t_iter=p.get("t_iter", 0.05),
+        n_iter=int(p.pop("n_iter", 2000)), t_iter=p.pop("t_iter", 0.05),
         rng=trajectory_rng(ctx.seed, 0),
-        noise_sigma=p.get("noise_sigma", 0.0))
+        noise_sigma=p.pop("noise_sigma", 0.0))
     fname = f"{ctx.name}_tracking.csv"
     _write_csv(ctx.outdir / fname,
                ["time_s", "residual_hz", "correction_hz"],
@@ -265,10 +266,10 @@ def _coupling_rows(sweep):
 def _run_lattice(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     model = load_structure(ctx.lattice_file)
-    sweep = angle_sweep(model, beta=p.get("beta", 0.0),
-                        theta_range=(p.get("theta_min", -1.0),
-                                     p.get("theta_max", 1.0)),
-                        n_points=int(p.get("theta_points", 21)))
+    sweep = angle_sweep(model, beta=p.pop("beta", 0.0),
+                        theta_range=(p.pop("theta_min", -1.0),
+                                     p.pop("theta_max", 1.0)),
+                        n_points=int(p.pop("theta_points", 21)))
     fname = f"{ctx.name}_couplings.csv"
     _write_csv(ctx.outdir / fname, _COUPLING_HEADER, _coupling_rows(sweep))
     return [fname], {"protocol": exp.protocol, "n_sites": len(sweep.labels)}
@@ -302,7 +303,15 @@ def _execute(cfg: RunConfig, config_bytes: bytes) -> Path:
             ctx = RunContext(sys=system, det=cfg.detector,
                              seed=cfg.seed + 1000 * i, outdir=outdir,
                              name=cfg.names[i], lattice_file=cfg.lattice_file)
-            files, summary = runner(exp, ctx)
+            # the runner pops what it reads; a key left over is a typo or
+            # a parameter of another protocol
+            params = dict(exp.params)
+            files, summary = runner(replace(exp, params=params), ctx)
+            if params:
+                raise ConfigError(
+                    f"experiments[{i}].params.{next(iter(params))}",
+                    f"not a parameter of protocol {exp.protocol!r}: "
+                    + ", ".join(params))
             summary_name = f"{cfg.names[i]}_summary.json"
             with open(outdir / summary_name, "w") as fh:
                 json.dump({"name": cfg.names[i], **summary}, fh,

@@ -39,10 +39,6 @@ class DetectorParams:
     def live_fraction(self) -> float:
         return 1.0 - self.dead / self.cycle
 
-    def scaled(self, epsilon: float) -> "DetectorParams":
-        return DetectorParams(epsilon=epsilon, gamma_dc=self.gamma_dc,
-                              cycle=self.cycle, dead=self.dead)
-
 
 def _emission_times(shot) -> np.ndarray:
     if hasattr(shot, "emission_times"):
@@ -108,6 +104,8 @@ def fluorescence_curve(ensemble, bin_width: float, p: DetectorParams, rng,
                 continue
             phase = rng.random() * p.cycle
             if phase >= p.dead and rng.random() < p.epsilon:
-                counts[int(t / bin_width)] += 1
+                # t / bin_width can round up to n_bins for t just below
+                # the last edge
+                counts[min(int(t / bin_width), n_bins - 1)] += 1
     counts += rng.poisson(len(shots) * p.gamma_dc * bin_width, size=n_bins)
     return FluorescenceCurve(edges=edges, counts=counts, n_shots=len(shots))

@@ -57,12 +57,18 @@ class AmbiguousDriveError(ValueError):
     """A pulse carrier sits within 1 kHz of two different transitions."""
 
 
-PULSE_KINDS = ("gaussian_pi", "flattop", "square", "wait", "detect_window")
+PULSE_KINDS = ("gaussian_pi", "flattop", "wait", "detect_window")
 
 
 @dataclass(frozen=True)
 class PulseSegment:
     """One element of a schedule.
+
+    Two kinds drive: ``gaussian_pi``, a Gaussian pulse, and ``flattop``,
+    a plateau with Gaussian ramps (a constant drive when ``edge`` is 0).
+    Two do not: ``wait``, and ``detect_window``, whose emissions the
+    protocols count. Every drive is about the x axis of the carrier's
+    rotating frame.
 
     ``frequency`` is the carrier (rad/s); for ``wait``/``detect_window``
     it sets the rotating frame for any surviving coherence (0 freezes the
@@ -71,14 +77,13 @@ class PulseSegment:
     automatic calibration to ``rotation`` (default pi) on the addressed
     transition. ``duration`` is the FWHM for ``gaussian_pi`` (wall time
     is twice that) and the full wall time otherwise. ``edge`` is the
-    flattop ramp FWHM; ``phase`` the drive phase (rad).
+    flattop ramp FWHM.
     """
 
     kind: str
     frequency: float = 0.0
     amplitude: float | None = None
     duration: float = 0.0
-    phase: float = 0.0
     edge: float = 0.0
     rotation: float = math.pi
 
@@ -95,7 +100,7 @@ class PulseSegment:
         # looked up for every segment of every shot
         object.__setattr__(self, "_plan_key", (
             self.kind, self.frequency, self.amplitude, self.duration,
-            self.phase, self.edge, self.rotation))
+            self.edge, self.rotation))
 
     @property
     def wall_time(self) -> float:
@@ -103,7 +108,7 @@ class PulseSegment:
 
     @property
     def driven(self) -> bool:
-        return self.kind in ("gaussian_pi", "flattop", "square")
+        return self.kind in ("gaussian_pi", "flattop")
 
     def envelope(self, t: float) -> float:
         """Unitless envelope at time t from segment start, in [0, 1]."""
@@ -121,10 +126,10 @@ class PulseSegment:
 
 
 def gaussian_pi(frequency: float, fwhm: float = 80e-6,
-                rotation: float = math.pi, phase: float = 0.0) -> PulseSegment:
+                rotation: float = math.pi) -> PulseSegment:
     """Gaussian pulse auto-calibrated to the given rotation angle."""
     return PulseSegment(kind="gaussian_pi", frequency=frequency,
-                        duration=fwhm, rotation=rotation, phase=phase)
+                        duration=fwhm, rotation=rotation)
 
 
 def wait(duration: float, frame_frequency: float = 0.0) -> PulseSegment:
@@ -266,25 +271,6 @@ def _address(seg: PulseSegment, sys: SpinSystem) -> Transition:
     return best
 
 
-def calibrated_amplitude(seg: PulseSegment, sys: SpinSystem) -> float:
-    """Drive amplitude giving ``seg.rotation`` on an allowed transition.
-
-    The power is referenced to the allowed matrix element, matching a
-    calibration done on the strong lines: a carrier sitting on a weak
-    (nuclear-flip) line is driven at the element ratio, not boosted to a
-    full rotation. The area comes from :func:`pulse_area`, so the
-    calibration is exact for the discretized pulse.
-    """
-    trans = _address(seg, sys)
-    allowed = [t.matrix_element for t in sys.transitions if t.is_allowed]
-    element = max(allowed) if allowed else trans.matrix_element
-    coupling = 2.0 * element * drive_filter(
-        sys.cavity, seg.frequency - sys.cavity.omega_0)
-    if coupling <= 0:
-        raise ValueError(f"transition {trans.label} is not drivable (zero element)")
-    return seg.rotation / (coupling * pulse_area(seg, sys))
-
-
 def pulse_area(seg: PulseSegment, sys: SpinSystem) -> float:
     """Time integral of the envelope (s) on the step grid of ``apply_pulse``."""
     n_steps, dt = _time_steps(seg, sys)
@@ -342,18 +328,18 @@ class _StepDecay:
     """A level's decay record on a plan's step grid.
 
     ``p_step`` is the jump probability of a fully excited level per step,
-    q = 1 - p_step. ``survival[i]``, set for undriven segments, is the
-    no-jump probability over the first ``i`` steps, q**i.
+    q = 1 - p_step. ``survival[i]`` is the no-jump probability over the
+    first ``i`` steps, q**i.
     """
 
     __slots__ = ("record", "p_step", "sqrt_survive", "survival")
 
-    def __init__(self, record: _Decay, dt: float):
+    def __init__(self, record: _Decay, dt: float, n_steps: int):
         self.record = record
         self.p_step = (-math.expm1(-record.total * dt) if record.total > 0
                        else 0.0)
         self.sqrt_survive = math.sqrt(1.0 - self.p_step)
-        self.survival = None
+        self.survival = (1.0 - self.p_step) ** np.arange(n_steps + 1)
 
 
 class _LevelDrive:
@@ -422,10 +408,8 @@ class _NoJumpTable:
         wx = drive.omega_peak * env
         detuning = (plan.frame - drive.trans.frequency - offset
                     if plan.frame != 0.0 else 0.0)
-        wz = (detuning - drive.ac_shift * env * env
-              if drive.ac_shift != 0.0 else np.full(n, detuning))
-        w = np.stack([wx * math.cos(plan.phase), wx * math.sin(plan.phase),
-                      wz], axis=1)
+        w = np.stack([wx, np.zeros(n), detuning - drive.ac_shift * env * env],
+                     axis=1)
         decay = drive.decay
         q = 1.0 - decay.p_step
         transverse = decay.sqrt_survive * plan.t2_decay
@@ -526,15 +510,17 @@ def _bloch(v) -> list:
 class _PulsePlan:
     """Shot-independent precomputation for one segment, system and noise.
 
-    A pulse only drives transitions that involve the occupied level, so
-    the plan holds one drive target per level: the line with the
-    largest element-weighted spectral overlap, or ``None`` when every
-    candidate is too far off resonance to matter.
+    The plan is where a pulse's drive is resolved: the addressed line,
+    the cavity filter at the carrier and, for ``amplitude=None``, the
+    calibrated amplitude. A pulse only drives transitions that involve
+    the occupied level, so the plan holds one drive target per level in
+    ``by_level``: the line with the largest element-weighted spectral
+    overlap, or ``None`` when every candidate is too far off resonance
+    to matter.
     """
 
     __slots__ = ("sys", "records", "by_level", "wall_time", "driven",
-                 "n_steps", "dt", "envelope", "phase", "frame", "t2_decay",
-                 "decays")
+                 "n_steps", "dt", "envelope", "frame", "t2_decay", "decays")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
         self.sys = sys
@@ -543,30 +529,39 @@ class _PulsePlan:
         self.driven = seg.driven
         self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
-        self.phase = seg.phase
         self.frame = seg.frequency
         self.t2_decay = math.exp(-self.dt / noise.t2) if noise.t2 else 1.0
         self.decays: dict[int, _StepDecay] = {}
         self.by_level = [None] * len(sys.levels)
         if not self.driven:
             return
-        _address(seg, sys)          # ambiguous-carrier guard
+        nearest = _address(seg, sys)     # also the ambiguous-carrier guard
+        filt = drive_filter(sys.cavity, seg.frequency - sys.cavity.omega_0)
         amp = seg.amplitude
         if amp is None:
-            amp = calibrated_amplitude(seg, sys)
-        filt = drive_filter(sys.cavity, seg.frequency - sys.cavity.omega_0)
+            # calibrated on the strongest allowed element, as on the strong
+            # lines: a carrier on a weak (nuclear-flip) line is driven at the
+            # element ratio, not boosted to a full rotation; the area is the
+            # envelope's sum on this grid, exact for the discretized pulse
+            allowed = [t.matrix_element for t in sys.transitions
+                       if t.is_allowed]
+            element = max(allowed) if allowed else nearest.matrix_element
+            coupling = 2.0 * element * filt
+            if coupling <= 0:
+                raise ValueError(f"transition {nearest.label} is not "
+                                 f"drivable (zero element)")
+            amp = seg.rotation / (coupling * (sum(self.envelope) * self.dt))
         drives: dict[Transition, _LevelDrive] = {}
         for level in range(len(sys.levels)):
+            # every level has an electron-flip line, so never empty
             cands = [t for t in sys.transitions if level in (t.lower, t.upper)]
-            if not cands:
-                continue
             best = max(cands, key=lambda t: _drive_weight(t, seg))
             if _drive_weight(best, seg) < _WEIGHT_FLOOR:
                 continue
             drive = drives.get(best)
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
-                decay = _StepDecay(self.records[best.upper], self.dt)
+                decay = self.decay_for(best.upper)
                 drive = drives[best] = _LevelDrive(
                     best, amp * filt, omega_peak, sys, decay,
                     self._block(decay))
@@ -583,17 +578,12 @@ class _PulsePlan:
                              f"{self.dt:.3g} s")
         return max(1, int(math.log(_MIN_SURVIVAL) / math.log(step)))
 
-    def drive_for(self, level: int):
-        return self.by_level[level]
-
     def decay_for(self, level: int) -> _StepDecay:
-        """Decay of the upper level of an undriven coherence."""
+        """Decay of ``level`` on this plan's step grid, built once."""
         decay = self.decays.get(level)
         if decay is None:
-            decay = _StepDecay(self.records[level], self.dt)
-            decay.survival = ((1.0 - decay.p_step)
-                              ** np.arange(self.n_steps + 1))
-            self.decays[level] = decay
+            decay = self.decays[level] = _StepDecay(self.records[level],
+                                                    self.dt, self.n_steps)
         return decay
 
 
@@ -664,11 +654,11 @@ def _enter(state: SystemState, plan: _PulsePlan, rng):
     """
     if plan.driven:
         if state.bloch is not None and state.pair is not None:
-            cont = plan.drive_for(state.pair[0])
+            cont = plan.by_level[state.pair[0]]
             if cont is not None and cont.pair == state.pair:
                 return cont
             _collapse(state, rng)
-        drive = plan.drive_for(state.level)
+        drive = plan.by_level[state.level]
         if drive is not None:
             z0 = -1.0 if state.level == drive.pair[0] else 1.0
             state.bloch, state.pair = [0.0, 0.0, z0], drive.pair

@@ -297,11 +297,12 @@ def rabi_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
                     transition: str, amplitude: float, durations,
                     n_averages: int = 100, t_int: float = 2.0e-3,
                     noise: NoiseModel = NO_NOISE) -> np.ndarray:
-    """Mean clicks after a square drive of each duration (none at 0)."""
+    """Mean clicks after a constant drive (a flattop without edges) of each
+    duration (none at 0)."""
     trans = sys.transition(transition)
 
     def schedule(tau):
-        return [PulseSegment(kind="square", frequency=trans.frequency,
+        return [PulseSegment(kind="flattop", frequency=trans.frequency,
                              amplitude=amplitude, duration=tau)] if tau else []
 
     return _interference_experiment(sys, det, seed, trans.lower, schedule,
@@ -413,8 +414,11 @@ def run_tracking(tracker: TrackerState, *, slope: float, drift,
     (its linear range covers a few kHz at the default tau); ``drift``
     maps time (s) to the true frequency drift (rad/s). With zero drift
     and zero noise the corrections stay identically zero. Counting noise
-    can be added as Gaussian jitter of scale ``noise_sigma``.
+    can be added as Gaussian jitter of scale ``noise_sigma``, drawn from
+    ``rng``, which it then requires.
     """
+    if noise_sigma > 0 and rng is None:
+        raise ValueError("noise_sigma > 0 needs an rng to draw the noise")
     drift_fn = drift if callable(drift) else (lambda t: drift)
     times = np.arange(n_iter) * t_iter
     detunings = np.zeros(n_iter)
@@ -424,7 +428,7 @@ def run_tracking(tracker: TrackerState, *, slope: float, drift,
     for i, t in enumerate(times):
         detuning = drift_fn(t) - correction
         sensor = slope * math.sin(detuning * tracker.tau)
-        if noise_sigma > 0 and rng is not None:
+        if noise_sigma > 0:
             sensor += noise_sigma * rng.standard_normal()
         tracker, correction = track_step(tracker, sensor, 0.0)
         detunings[i] = detuning

@@ -166,27 +166,12 @@ class SpinSystem:
         return float(np.mean(rates)) if rates else 0.0
 
     @property
-    def gamma_x_d(self) -> float:
-        return self._cross_rate("double_quantum")
-
-    @property
-    def gamma_x_z(self) -> float:
-        return self._cross_rate("zero_quantum")
-
-    @property
     def eta_d(self) -> float:
         return self._eta("double_quantum")
 
     @property
     def eta_z(self) -> float:
         return self._eta("zero_quantum")
-
-    def _cross_rate(self, label: str) -> float:
-        return next(
-            (ch.rate for chans in self.channels for ch in chans
-             if ch.transition.label == label),
-            0.0,
-        )
 
     def _eta(self, label: str) -> float:
         for chans in self.channels:
@@ -398,11 +383,6 @@ def closed_form_transitions(p: SpinParams):
         "double_quantum": (ws + half_sum, m_forbidden),
         "zero_quantum": (ws - half_sum, m_forbidden),
     }
-
-
-def cross_relaxation(sys: SpinSystem):
-    """Cross-relaxation rates and probabilities (Gx_d, Gx_z, eta_d, eta_z)."""
-    return sys.gamma_x_d, sys.gamma_x_z, sys.eta_d, sys.eta_z
 
 
 def ac_zeeman_frequencies(p: SpinParams, omega_drive: float,

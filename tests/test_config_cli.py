@@ -117,6 +117,31 @@ def test_run_unknown_protocol_leaves_no_partial_outputs(tmp_path):
     assert list(out.glob("*.csv")) == []
 
 
+@pytest.mark.parametrize("experiment,key", [
+    ("{name: spec, protocol: spectroscopy, params: {span: 8 kHz, "
+     "step: 2 kHz, n_averages: 1, t_int: 100 us, n_shot: 3}}", "n_shot"),
+    ("{name: spec, protocol: ramsey, params: {tau_points: 2, "
+     "n_averages: 1, t_int: 100 us, t2: 1 ms}}", "t2"),
+], ids=["typo", "other_protocol"])
+def test_run_unknown_parameter_fails_with_its_path(tmp_path, experiment,
+                                                   key):
+    """A parameter the protocol does not read (a typo, or a parameter of
+    another protocol) fails the run instead of running on the defaults."""
+    exps = ("[{name: ok, protocol: lattice, params: {theta_points: 3}}, "
+            + experiment + "]")
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["path"] == f"experiments[1].params.{key}"
+    out = tmp_path / "out"
+    assert list(out.glob("ok_*")) == [] and list(out.glob("spec_*")) == []
+    assert not (out / "manifest.json").exists()
+
+
 def test_run_report_and_reproducibility(tmp_path):
     exps = ("[{name: shells, protocol: lattice, "
             "params: {theta_points: 5, beta: 0.2}}, "
@@ -169,10 +194,11 @@ SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.stem)
 def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
     """Every shipped config runs from its own relative output path and
-    reports; the two-experiment trace config reproduces byte for byte, and
-    the readout config yields the threshold and fidelity it promises."""
+    reports; the two-experiment trace config and the one-per-protocol
+    config reproduce byte for byte, and the readout config yields the
+    threshold and fidelity it promises."""
     output = load_config(config).output
-    runs = ("a", "b") if config.stem == "trace" else ("a",)
+    runs = ("a", "b") if config.stem in ("trace", "protocols") else ("a",)
     for sub in runs:
         (tmp_path / sub).mkdir()
         monkeypatch.chdir(tmp_path / sub)

@@ -1,5 +1,7 @@
 """Photon-counting detector model: efficiency, dark counts, dead time."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,17 @@ def test_fluorescence_curve_accepts_trajectories():
 
 def test_scaled_returns_new_efficiency():
     p = DetectorParams(epsilon=0.18)
-    q = p.scaled(0.18 * 0.79)
+    q = replace(p, epsilon=0.18 * 0.79)
     assert q.epsilon == pytest.approx(0.1422)
     assert q.gamma_dc == p.gamma_dc and q.cycle == p.cycle
+
+
+def test_fluorescence_curve_bins_the_latest_emission():
+    """With the default t_max the latest emission sets the last edge; at
+    9e-4 s the nine bins of 1e-4 s end just above it while the quotient
+    rounds to 9, so the emission must land in the last bin."""
+    p = DetectorParams(epsilon=1.0, gamma_dc=0.0, dead=0.0)
+    curve = fluorescence_curve([np.array([9e-4])], bin_width=1e-4, p=p,
+                               rng=np.random.default_rng(0))
+    assert curve.counts.size == 9
+    assert curve.counts[-1] == 1 and curve.counts.sum() == 1

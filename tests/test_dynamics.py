@@ -375,14 +375,11 @@ def _step_loop(state, plan, drive, rng):
                float(state.bloch[2]))
     detuning = (frame - trans_freq - state.shot_offset
                 if frame != 0.0 else 0.0)
-    cphi, sphi = math.cos(plan.phase), math.sin(plan.phase)
     t0 = state.time
     events = []
     for i in range(n_steps):
         env_i = envelope[i]
-        wx = omega_peak * env_i
-        wy = wx * sphi
-        wx *= cphi
+        wx, wy = omega_peak * env_i, 0.0
         # AC-Zeeman shift follows the instantaneous drive power
         wz = detuning - ac_shift * env_i * env_i \
             if ac_shift != 0.0 else detuning
@@ -450,7 +447,7 @@ def _assert_same_shot(state, events, rng, ref, ref_events, ref_rng):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(fast=st.booleans(),
-       kind=st.sampled_from(["gaussian_pi", "square", "wait",
+       kind=st.sampled_from(["gaussian_pi", "flattop", "wait",
                              "detect_window"]),
        offset_hz=st.floats(-30e3, 8e3),
        pulse_len=st.floats(10e-6, 200e-6),
@@ -475,7 +472,7 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
     t = sys.transition("allowed_d")
     noise = NoiseModel(t2=t2)
     carrier = t.frequency + TWO_PI * offset_hz
-    driven = kind in ("gaussian_pi", "square")
+    driven = kind in ("gaussian_pi", "flattop")
     if driven:
         seg = PulseSegment(kind=kind, frequency=carrier, duration=pulse_len,
                            rotation=rotation)
@@ -487,13 +484,13 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
     if isinstance(start, str):
         assume(driven)
         state.level = t.lower if start == "lower" else t.upper
-        drive = plan.drive_for(state.level)
+        drive = plan.by_level[state.level]
     else:
         theta, phi = start
         state.bloch = [math.sin(theta) * math.cos(phi),
                        math.sin(theta) * math.sin(phi), math.cos(theta)]
         state.pair = (t.lower, t.upper)
-        drive = plan.drive_for(t.lower) if driven else None
+        drive = plan.by_level[t.lower] if driven else None
         if driven:
             assume(drive is not None)
             state.pair = drive.pair
@@ -640,17 +637,17 @@ def test_lossy_drive_keeps_step_loop_precision(fast_system):
     drive jumps back into the pair in many blocks, some of them in a
     block's last step, where the restart crosses the boundary."""
     t = fast_system.transition("allowed_d")
-    cases = [(PulseSegment(kind="square", frequency=t.frequency,
+    cases = [(PulseSegment(kind="flattop", frequency=t.frequency,
                            duration=duration), NO_NOISE)
              for duration in (400e-6, 1e-3)]
-    cases += [(PulseSegment(kind="square", frequency=t.frequency
+    cases += [(PulseSegment(kind="flattop", frequency=t.frequency
                             + TWO_PI * 3e3, amplitude=TWO_PI * 40e3,
                             duration=duration), NoiseModel(t2=t2))
               for duration in (400e-6, 1e-3, 3e-3) for t2 in (None, 30e-6)]
     at_block_end = 0
     for seg, noise in cases:
         plan = dyn._pulse_plan(seg, fast_system, noise)
-        block = plan.drive_for(t.lower).block
+        block = plan.by_level[t.lower].block
         assert block < plan.n_steps
         for i in range(50):
             state, ref = SystemState(level=t.lower), SystemState(level=t.lower)

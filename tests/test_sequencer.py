@@ -195,6 +195,19 @@ def test_tracker_null_input_gives_zero_corrections():
     assert np.all(rec.detunings == 0.0)
 
 
+def test_tracker_noise_needs_an_rng():
+    """Counting noise without a stream to draw it from is an error, not a
+    noise-free run."""
+    tracker = TrackerState(p_gain=10.0, i_gain=1e-3)
+    with pytest.raises(ValueError, match="rng"):
+        run_tracking(tracker, slope=50.0, drift=0.0, n_iter=10,
+                     t_iter=0.05, noise_sigma=5.0)
+    rec = run_tracking(tracker, slope=50.0, drift=0.0, n_iter=10,
+                       t_iter=0.05, rng=np.random.default_rng(0),
+                       noise_sigma=5.0)
+    assert np.any(rec.corrections != 0.0)
+
+
 def test_tracker_cancels_linear_drift():
     tracker = TrackerState(p_gain=10.0, i_gain=1e-3)
     rate = TWO_PI * 1e3 / 60.0      # 1 kHz per minute
