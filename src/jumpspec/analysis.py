@@ -54,14 +54,15 @@ def fit_multi_lorentzian(x, y, n_peaks: int, p0=None) -> list[LorentzianFit]:
     """Multi-peak fit with a shared offset; multi-start over peak seeds.
 
     Returns one fit per peak, sorted by center. Raises ``FitError``
-    when no start converges (callers exclude such spectra).
+    when there are fewer than 5 points per peak or no start converges
+    (callers exclude such spectra).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if n_peaks < 1:
         raise ValueError("need at least one peak")
     if x.size < 5 * n_peaks:
-        raise ValueError("need at least 5 points per peak")
+        raise fitting.FitError("need at least 5 points per peak")
     span = x.max() - x.min()
     offset = float(np.median(y))
     amp = float(y.max() - offset)
@@ -154,20 +155,24 @@ class TraceClassification:
         return np.bincount(self.states, minlength=self.n_states)
 
 
-def classify_trace(centers, n_states: int | None = None, k: float = 5.0,
-                   min_frac: float = 0.05,
-                   min_separation: float = 3.0) -> TraceClassification:
+SPLIT_GAP = 5.0             # median gaps
+MIN_CLUSTER_FRAC = 0.05     # of the spectra
+MIN_SEPARATION = 3.0        # summed spreads
+
+
+def classify_trace(centers, n_states: int | None = None) -> TraceClassification:
     """Cluster the sorted center series by its large spacings.
 
     Candidate splits sit where consecutive sorted-center gaps exceed
-    ``k`` times the median gap. Two merge passes then reject spurious
-    splits: clusters holding less than ``min_frac`` of the spectra
-    (extreme order-statistic spacings in a cluster tail would otherwise
-    masquerade as states), and adjacent clusters whose means differ by
-    less than ``min_separation`` times the sum of their spreads (chance
-    gaps inside one noise cluster). Deterministic and permutation-stable:
-    the result depends only on the sorted values. When ``n_states`` is
-    given and fewer clusters are found, the result is flagged unresolved.
+    ``SPLIT_GAP`` (5) times the median gap. Two merge passes then reject
+    spurious splits: clusters holding less than ``MIN_CLUSTER_FRAC``
+    (5%) of the spectra (extreme order-statistic spacings in a cluster
+    tail would otherwise masquerade as states), and adjacent clusters
+    whose means differ by less than ``MIN_SEPARATION`` (3) times the sum
+    of their spreads (chance gaps inside one noise cluster).
+    Deterministic and permutation-stable: the result depends only on the
+    sorted values. When ``n_states`` is given and fewer clusters are
+    found, the result is flagged unresolved.
     """
     centers = np.asarray(centers, dtype=float)
     if centers.size < 20:
@@ -177,8 +182,8 @@ def classify_trace(centers, n_states: int | None = None, k: float = 5.0,
     median_gap = float(np.median(gaps))
     if median_gap <= 0:
         median_gap = float(np.mean(gaps)) or 1.0
-    split = list(np.where(gaps > k * median_gap)[0])
-    min_count = max(2, math.ceil(min_frac * centers.size))
+    split = list(np.where(gaps > SPLIT_GAP * median_gap)[0])
+    min_count = max(2, math.ceil(MIN_CLUSTER_FRAC * centers.size))
 
     def clusters():
         bounds = [0] + [i + 1 for i in split] + [centers.size]
@@ -205,7 +210,7 @@ def classify_trace(centers, n_states: int | None = None, k: float = 5.0,
         ratios = [(means[j + 1] - means[j]) / (spreads[j] + spreads[j + 1])
                   for j in range(len(cl) - 1)]
         worst = int(np.argmin(ratios))
-        if ratios[worst] >= min_separation:
+        if ratios[worst] >= MIN_SEPARATION:
             break
         split.pop(worst)
     split = np.array(split, dtype=int)
@@ -380,8 +385,9 @@ class ReadoutModel:
 
 
 def fit_readout_curve(n_ro, p_success, epsilon: float, gamma_dc: float,
-                      t_d: float, p0_guess=(0.95, 3e-4)) -> ReadoutModel:
-    """Joint (p0, eta) fit with the detector triple held fixed."""
+                      t_d: float) -> ReadoutModel:
+    """Joint (p0, eta) fit with the detector triple held fixed, started
+    from p0 = 0.95, eta = 3e-4."""
     n_ro = np.asarray(n_ro, dtype=float)
     p_success = np.asarray(p_success, dtype=float)
     if n_ro.size < 5:
@@ -393,7 +399,7 @@ def fit_readout_curve(n_ro, p_success, epsilon: float, gamma_dc: float,
         return m.success_probability(x)
 
     model_jac = fitting.finite_difference(model, 2)
-    res = fitting.curve_fit(model_jac, n_ro, p_success, np.asarray(p0_guess))
+    res = fitting.curve_fit(model_jac, n_ro, p_success, np.array([0.95, 3e-4]))
     sig = res.sigma
     return ReadoutModel(epsilon=epsilon, gamma_dc=gamma_dc, t_d=t_d,
                         p0=float(res.x[0]), eta=float(res.x[1]),
@@ -411,11 +417,12 @@ class OmegaIFit:
 
 
 def fit_omega_I(amplitudes_d, deltas_d, amplitudes_z, deltas_z,
-                a: float, b: float, omega_i0: float | None = None) -> OmegaIFit:
+                a: float, b: float) -> OmegaIFit:
     """Joint fit of both drive-shifted forbidden-frequency branches.
 
     Inputs are angular: drive amplitudes and measured offsets delta_d
     (double-quantum, near +|omega_I|) and delta_z (near -|omega_I|).
+    The fit starts from -|mean offset|, averaged over the branches.
     """
     amplitudes_d = np.asarray(amplitudes_d, dtype=float)
     amplitudes_z = np.asarray(amplitudes_z, dtype=float)
@@ -423,14 +430,9 @@ def fit_omega_I(amplitudes_d, deltas_d, amplitudes_z, deltas_z,
                              np.asarray(deltas_z, float)])
     if amplitudes_d.size + amplitudes_z.size < 3:
         raise ValueError("need at least 3 amplitude points across the branches")
-    if omega_i0 is None:
-        guesses = []
-        if len(deltas_d):
-            guesses.append(-abs(np.mean(deltas_d)))
-        if len(deltas_z):
-            guesses.append(-abs(np.mean(deltas_z)))
-        omega_i0 = float(np.mean(guesses))
-    scale = abs(omega_i0)
+    guess = float(np.mean([-abs(np.mean(d)) for d in (deltas_d, deltas_z)
+                           if len(d)]))
+    scale = abs(guess)
 
     def model(_, p):
         omega_i = p[0] * scale
@@ -445,7 +447,7 @@ def fit_omega_I(amplitudes_d, deltas_d, amplitudes_z, deltas_z,
 
     model_jac = fitting.finite_difference(model, 1)
     res = fitting.curve_fit(model_jac, np.zeros(deltas.size), deltas,
-                            np.array([omega_i0 / scale]))
+                            np.array([guess / scale]))
     return OmegaIFit(omega_i=float(res.x[0] * scale),
                      sigma=float(res.sigma[0] * scale), result=res)
 

@@ -45,6 +45,7 @@ class RunContext:
     outdir: Path
     name: str
     lattice_file: str | None
+    index: int          # the experiment's place in the config
 
 
 def _cell(v):
@@ -77,14 +78,23 @@ def _grid(params, prefix, default_lo, default_hi, default_n):
     return np.linspace(lo, hi, n)
 
 
+def _all_read(exp: ExperimentConfig, ctx: RunContext) -> None:
+    """Reject a parameter the runner did not pop: a typo, or another's."""
+    if exp.params:
+        raise ConfigError(
+            f"experiments[{ctx.index}].params.{next(iter(exp.params))}",
+            f"not a parameter of protocol {exp.protocol!r}: "
+            + ", ".join(exp.params))
+
+
 # ---------------------------------------------------------------------------
 # protocol runners: each pops the parameters it reads from ``exp.params``
-# (a copy) and returns (artifact file names, summary dict)
+# (a copy), calls ``_all_read`` before it simulates, and returns
+# (artifact file names, summary dict)
 
 def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
-    trace = sequencer.trace_experiment(
-        ctx.sys, ctx.det, ctx.seed,
+    args = dict(
         n_spectra=int(p.pop("n_spectra", 1)),
         initial_level=int(p.pop("initial_level", 0)),
         center=p.pop("center", ctx.sys.params.omega_s / TWO_PI) * TWO_PI,
@@ -93,6 +103,8 @@ def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
         n_averages=int(p.pop("n_averages", 50)),
         pulse_fwhm=p.pop("pulse_fwhm", 80e-6),
         t_int=p.pop("t_int", 2.0e-3))
+    _all_read(exp, ctx)
+    trace = sequencer.trace_experiment(ctx.sys, ctx.det, ctx.seed, **args)
     rows = [(i, d, int(c), c / sp.n_averages)
             for i, sp in enumerate(trace.spectra)
             for d, c in zip(sp.delta_hz, sp.counts)]
@@ -117,6 +129,7 @@ def _run_readout(exp: ExperimentConfig, ctx: RunContext):
                    np.atleast_1d(p.pop("n_ro_values", [50, 100, 200]))]
     n_shots = int(p.pop("n_shots", 20))
     t_d = p.pop("t_d", 2.6e-3)
+    _all_read(exp, ctx)
     down, up = sequencer.readout_pair(ctx.sys)
     records, p_success = [], []
     shot_index = 0
@@ -160,9 +173,7 @@ def _run_readout(exp: ExperimentConfig, ctx: RunContext):
 def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     deltas = _grid(p, "delta", -820e3, -760e3, 13)
-    p_down = sequencer.eldor_scan(
-        ctx.sys, ctx.det, ctx.seed,
-        deltas_hz=deltas,
+    args = dict(
         amplitude=TWO_PI * p.pop("amplitude", 200e3),
         duration=p.pop("duration", 50e-6),
         prepare=p.pop("prepare", "d"),
@@ -170,6 +181,9 @@ def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
         n_shots=int(p.pop("n_shots", 20)),
         n_ro=int(p.pop("n_ro", 100)),
         t_d=p.pop("t_d", 2.6e-3))
+    _all_read(exp, ctx)
+    p_down = sequencer.eldor_scan(ctx.sys, ctx.det, ctx.seed,
+                                  deltas_hz=deltas, **args)
     fname = f"{ctx.name}_eldor.csv"
     _write_csv(ctx.outdir / fname, ["delta_hz", "p_down"],
                zip(deltas, p_down))
@@ -185,6 +199,7 @@ def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
     n_prep_values = [int(v) for v in np.atleast_1d(p.pop("n_prep_values",
                                                          [1, 2, 4]))]
     n_shots = int(p.pop("n_shots", 40))
+    _all_read(exp, ctx)
     rows = []
     for k, n_prep in enumerate(n_prep_values):
         hit = 0
@@ -204,23 +219,23 @@ def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
 def _run_oscillation(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
     taus = _grid(p, "tau", 0.0, 200e-6, 21)
-    kwargs = dict(transition=p.pop("transition", "allowed_d"),
-                  n_averages=int(p.pop("n_averages", 50)),
-                  t_int=p.pop("t_int", 2.0e-3))
+    args = dict(transition=p.pop("transition", "allowed_d"),
+                n_averages=int(p.pop("n_averages", 50)),
+                t_int=p.pop("t_int", 2.0e-3))
     if exp.protocol == "rabi":
-        signal = sequencer.rabi_experiment(
-            ctx.sys, ctx.det, ctx.seed, durations=taus,
-            amplitude=TWO_PI * p.pop("amplitude", 50e3), **kwargs)
+        experiment = sequencer.rabi_experiment
+        args.update(durations=taus,
+                    amplitude=TWO_PI * p.pop("amplitude", 50e3))
     elif exp.protocol == "ramsey":
-        signal = sequencer.ramsey_experiment(
-            ctx.sys, ctx.det, ctx.seed, delays=taus,
-            detuning_hz=p.pop("detuning", 5e3),
-            noise=sequencer.NoiseModel(t2_star=p.pop("t2_star", 0.0)),
-            **kwargs)
+        experiment = sequencer.ramsey_experiment
+        args.update(delays=taus, detuning_hz=p.pop("detuning", 5e3),
+                    noise=sequencer.NoiseModel(t2_star=p.pop("t2_star", 0.0)))
     else:
-        signal = sequencer.echo_experiment(
-            ctx.sys, ctx.det, ctx.seed, delays=taus,
-            noise=sequencer.NoiseModel(t2=p.pop("t2", 0.0)), **kwargs)
+        experiment = sequencer.echo_experiment
+        args.update(delays=taus,
+                    noise=sequencer.NoiseModel(t2=p.pop("t2", 0.0)))
+    _all_read(exp, ctx)
+    signal = experiment(ctx.sys, ctx.det, ctx.seed, **args)
     fname = f"{ctx.name}_{exp.protocol}.csv"
     _write_csv(ctx.outdir / fname, ["tau_s", "mean_counts"],
                zip(taus, signal))
@@ -235,12 +250,13 @@ def _run_tracking(exp: ExperimentConfig, ctx: RunContext):
                            f=p.pop("f", 2000.0),
                            tau=p.pop("tau", 25e-6))
     drift_rate = TWO_PI * p.pop("drift_hz_per_min", 1e3) / 60.0
-    rec = run_tracking(
-        tracker, slope=p.pop("slope", 50.0),
-        drift=lambda t: drift_rate * t,
+    args = dict(
+        slope=p.pop("slope", 50.0),
         n_iter=int(p.pop("n_iter", 2000)), t_iter=p.pop("t_iter", 0.05),
-        rng=trajectory_rng(ctx.seed, 0),
         noise_sigma=p.pop("noise_sigma", 0.0))
+    _all_read(exp, ctx)
+    rec = run_tracking(tracker, drift=lambda t: drift_rate * t,
+                       rng=trajectory_rng(ctx.seed, 0), **args)
     fname = f"{ctx.name}_tracking.csv"
     _write_csv(ctx.outdir / fname,
                ["time_s", "residual_hz", "correction_hz"],
@@ -265,11 +281,12 @@ def _coupling_rows(sweep):
 
 def _run_lattice(exp: ExperimentConfig, ctx: RunContext):
     p = exp.params
-    model = load_structure(ctx.lattice_file)
-    sweep = angle_sweep(model, beta=p.pop("beta", 0.0),
-                        theta_range=(p.pop("theta_min", -1.0),
-                                     p.pop("theta_max", 1.0)),
-                        n_points=int(p.pop("theta_points", 21)))
+    args = dict(beta=p.pop("beta", 0.0),
+                theta_range=(p.pop("theta_min", -1.0),
+                             p.pop("theta_max", 1.0)),
+                n_points=int(p.pop("theta_points", 21)))
+    _all_read(exp, ctx)
+    sweep = angle_sweep(load_structure(ctx.lattice_file), **args)
     fname = f"{ctx.name}_couplings.csv"
     _write_csv(ctx.outdir / fname, _COUPLING_HEADER, _coupling_rows(sweep))
     return [fname], {"protocol": exp.protocol, "n_sites": len(sweep.labels)}
@@ -300,18 +317,10 @@ def _execute(cfg: RunConfig, config_bytes: bytes) -> Path:
             if runner is None:
                 raise ConfigError(f"experiments[{i}].protocol",
                                   f"unknown protocol {exp.protocol!r}")
-            ctx = RunContext(sys=system, det=cfg.detector,
+            ctx = RunContext(sys=system, det=cfg.detector, index=i,
                              seed=cfg.seed + 1000 * i, outdir=outdir,
                              name=cfg.names[i], lattice_file=cfg.lattice_file)
-            # the runner pops what it reads; a key left over is a typo or
-            # a parameter of another protocol
-            params = dict(exp.params)
-            files, summary = runner(replace(exp, params=params), ctx)
-            if params:
-                raise ConfigError(
-                    f"experiments[{i}].params.{next(iter(params))}",
-                    f"not a parameter of protocol {exp.protocol!r}: "
-                    + ", ".join(params))
+            files, summary = runner(replace(exp, params=dict(exp.params)), ctx)
             summary_name = f"{cfg.names[i]}_summary.json"
             with open(outdir / summary_name, "w") as fh:
                 json.dump({"name": cfg.names[i], **summary}, fh,

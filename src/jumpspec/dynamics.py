@@ -508,7 +508,7 @@ def _bloch(v) -> list:
 
 
 class _PulsePlan:
-    """Shot-independent precomputation for one segment, system and noise.
+    """Shot-independent precomputation for one segment, system and t2.
 
     The plan is where a pulse's drive is resolved: the addressed line,
     the cavity filter at the carrier and, for ``amplitude=None``, the
@@ -522,7 +522,7 @@ class _PulsePlan:
     __slots__ = ("sys", "records", "by_level", "wall_time", "driven",
                  "n_steps", "dt", "envelope", "frame", "t2_decay", "decays")
 
-    def __init__(self, seg: PulseSegment, sys: SpinSystem, noise: NoiseModel):
+    def __init__(self, seg: PulseSegment, sys: SpinSystem, t2: float | None):
         self.sys = sys
         self.records = _decays(sys)
         self.wall_time = seg.wall_time
@@ -530,7 +530,7 @@ class _PulsePlan:
         self.n_steps, self.dt = _time_steps(seg, sys)
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.frame = seg.frequency
-        self.t2_decay = math.exp(-self.dt / noise.t2) if noise.t2 else 1.0
+        self.t2_decay = math.exp(-self.dt / t2) if t2 else 1.0
         self.decays: dict[int, _StepDecay] = {}
         self.by_level = [None] * len(sys.levels)
         if not self.driven:
@@ -591,11 +591,12 @@ def _pulse_plan(seg: PulseSegment, sys: SpinSystem,
                 noise: NoiseModel) -> _PulsePlan:
     """The system's memoised plan of ``seg`` under ``noise``."""
     # keyed by the segment's fields, not the segment: equal segments share
-    # a plan, and hashing the dataclass costs more than its stored tuple
-    key = (noise, seg._plan_key)
+    # a plan, and hashing the dataclass costs more than its stored tuple;
+    # of the noise, only t2 enters a plan (t2_star is a per-shot offset)
+    key = (noise.t2, seg._plan_key)
     plan = sys._memo.get(key)
     if plan is None:
-        plan = sys._memo[key] = _PulsePlan(seg, sys, noise)
+        plan = sys._memo[key] = _PulsePlan(seg, sys, noise.t2)
     return plan
 
 

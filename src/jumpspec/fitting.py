@@ -14,6 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+LAM0 = 1e-3         # damping of the first step
+GTOL = 1e-10        # relative gradient tolerance (see levenberg_marquardt)
+XTOL = 1e-12        # relative step tolerance
+FD_STEP = 1e-7      # relative step of finite_difference
+
+
 class FitError(RuntimeError):
     """A fit found no converged solution."""
 
@@ -33,21 +39,20 @@ class FitResult:
         return np.sqrt(np.clip(np.diag(self.covariance), 0.0, None))
 
 
-def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200,
-                        lam0: float = 1e-3, gtol: float = 1e-10,
-                        xtol: float = 1e-12) -> FitResult:
+def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200) -> FitResult:
     """Minimize 0.5*||r(x)||^2 given residual_jac(x) -> (r, J).
 
-    ``gtol`` is relative: convergence when ||J^T r|| < gtol * max(1, cost).
+    Converged when ||J^T r|| < GTOL * max(1, cost), or when an accepted
+    step moves x by less than XTOL relative.
     """
     x = np.asarray(x0, dtype=float).copy()
-    lam = lam0
+    lam = LAM0
     r, jac = residual_jac(x)
     cost = 0.5 * float(r @ r)
     history = [cost]
     grad = jac.T @ r
     n_iter = 0
-    converged = bool(np.linalg.norm(grad) < gtol * max(1.0, cost))
+    converged = bool(np.linalg.norm(grad) < GTOL * max(1.0, cost))
     while n_iter < max_iter and not converged:
         n_iter += 1
         jtj = jac.T @ jac
@@ -66,7 +71,7 @@ def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200,
             grad = jac.T @ r
             history.append(cost)
             lam = max(lam / 3.0, 1e-14)
-            if np.linalg.norm(grad) < gtol * max(1.0, cost) or rel_move < xtol:
+            if np.linalg.norm(grad) < GTOL * max(1.0, cost) or rel_move < XTOL:
                 converged = True
         else:
             lam *= 10.0
@@ -89,7 +94,7 @@ def _covariance(jac, r):
         return np.full((n, n), np.nan)
 
 
-def curve_fit(model_jac, x, y, p0, **kwargs) -> FitResult:
+def curve_fit(model_jac, x, y, p0) -> FitResult:
     """Fit y ~ model(x; p) with model_jac(x, p) -> (values, jacobian)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -98,7 +103,7 @@ def curve_fit(model_jac, x, y, p0, **kwargs) -> FitResult:
         val, jac = model_jac(x, p)
         return val - y, jac
 
-    return levenberg_marquardt(residual, p0, **kwargs)
+    return levenberg_marquardt(residual, p0)
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +144,16 @@ def double_gaussian(x, p):
     return val, jac
 
 
-def finite_difference(model, n_params, h: float = 1e-7):
-    """Wrap a plain model(x, p) -> values into a (values, jacobian) pair."""
+def finite_difference(model, n_params):
+    """Wrap a plain model(x, p) -> values into a (values, jacobian) pair,
+    by forward differences of relative step ``FD_STEP``."""
 
     def model_jac(x, p):
         p = np.asarray(p, dtype=float)
         val = model(x, p)
         jac = np.empty((np.size(val), n_params))
         for k in range(n_params):
-            dp = h * max(abs(p[k]), 1.0)
+            dp = FD_STEP * max(abs(p[k]), 1.0)
             p_hi = p.copy()
             p_hi[k] += dp
             jac[:, k] = (model(x, p_hi) - val) / dp

@@ -28,6 +28,7 @@ GAMMA_PERP = -TWO_PI * 117.3e9
 GAMMA_PAR = -TWO_PI * 17.45e9
 
 MIN_RADIUS = 0.5                # angstrom; point-dipole validity cutoff
+MAX_DISTANCE = 3.0              # combined sigmas; assign_site's cutoff
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class FieldOrientation:
 
     theta: float
     beta: float
-    b0: float = 0.446
 
     def __post_init__(self):
         if abs(self.theta) >= 5.0 or abs(self.beta) >= 5.0:
@@ -172,11 +172,10 @@ class SweepTable:
     labels: tuple[str, ...]             # one entry per site, shell label
     a_hz: np.ndarray                    # shape (n_sites, n_theta)
     b_hz: np.ndarray
-    nominal_range: tuple[float, float] | None = None
 
 
 def angle_sweep(model: CrystalModel, beta: float, theta_range,
-                n_points: int, nominal_range=None) -> SweepTable:
+                n_points: int) -> SweepTable:
     """Tabulate (A(theta), B(theta)) per site over a theta grid."""
     if n_points < 1:
         raise ValueError("need at least one sweep point")
@@ -191,7 +190,7 @@ def angle_sweep(model: CrystalModel, beta: float, theta_range,
                 vec, model, FieldOrientation(theta=th, beta=beta))
     return SweepTable(thetas=thetas, beta=beta,
                       labels=tuple(s.label for s in model.sites),
-                      a_hz=a, b_hz=b, nominal_range=nominal_range)
+                      a_hz=a, b_hz=b)
 
 
 @dataclass(frozen=True)
@@ -202,16 +201,14 @@ class SiteCandidate:
     a_hz: float
     b_hz: float
     distance: float          # Mahalanobis-style distance in (|A|, B)
-    out_of_range: bool
 
 
-def assign_site(measured, sweep: SweepTable, tol: float = 3.0):
+def assign_site(measured, sweep: SweepTable):
     """Rank sites by closeness of |A|, B to the measured values.
 
     ``measured`` is ``(a_hz, sigma_a_hz, b_hz, sigma_b_hz)``. Candidates
-    with minimum distance above ``tol`` (in units of the combined sigma)
-    are dropped; matches whose best theta lies outside the table's nominal
-    range are flagged out-of-range.
+    with minimum distance above ``MAX_DISTANCE`` (3, in units of the
+    combined sigma) are dropped.
     """
     a_meas, sig_a, b_meas, sig_b = measured
     if sig_a <= 0 or sig_b <= 0:
@@ -221,14 +218,9 @@ def assign_site(measured, sweep: SweepTable, tol: float = 3.0):
         d = np.sqrt(((np.abs(sweep.a_hz[i]) - abs(a_meas)) / sig_a) ** 2
                     + ((sweep.b_hz[i] - abs(b_meas)) / sig_b) ** 2)
         j = int(np.argmin(d))
-        theta = float(sweep.thetas[j])
-        oor = False
-        if sweep.nominal_range is not None:
-            lo, hi = sweep.nominal_range
-            oor = not (lo <= theta <= hi)
         candidates.append(SiteCandidate(
-            site_index=i, label=label, theta=theta,
+            site_index=i, label=label, theta=float(sweep.thetas[j]),
             a_hz=float(sweep.a_hz[i, j]), b_hz=float(sweep.b_hz[i, j]),
-            distance=float(d[j]), out_of_range=oor))
+            distance=float(d[j])))
     candidates.sort(key=lambda cand: cand.distance)
-    return [cand for cand in candidates if cand.distance <= tol]
+    return [cand for cand in candidates if cand.distance <= MAX_DISTANCE]

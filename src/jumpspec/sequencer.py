@@ -38,6 +38,13 @@ SKIP_CUTOFF_SCALE = 1.0
 #: wait between a spectroscopy pulse and its count window (s)
 BLANKING = 80e-6
 
+#: FWHM of the single-shot readout's pi pulses (s)
+READOUT_FWHM = 80e-6
+
+#: plateau Rabi frequency (rad/s) and edge (s) of a forbidden pi pulse
+FORBIDDEN_RABI = TWO_PI * 15e3
+FORBIDDEN_EDGE = 5e-6
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -180,21 +187,22 @@ def readout_pair(sys: SpinSystem) -> tuple[Transition, Transition]:
 
 def single_shot_readout(state: SystemState, sys: SpinSystem,
                         det: DetectorParams, rng, *, n_ro: int = 1000,
-                        t_d: float = 2.6e-3, pulse_fwhm: float = 80e-6,
+                        t_d: float = 2.6e-3,
                         noise: NoiseModel = NO_NOISE) -> CountRecord:
     """Interleaved pi pulses on both allowed lines, counts per line.
 
-    Each of the ``n_ro`` cycles pulses the nuclear-down line, counts for
-    ``t_d``, then the nuclear-up line, and counts again; only the line
-    matching the current nuclear state excites, so the click imbalance
-    encodes the state. Under ``noise.t2_star`` each cycle draws its own
-    static detuning.
+    Each of the ``n_ro`` cycles pulses the nuclear-down line with a
+    Gaussian pi of FWHM ``READOUT_FWHM`` (80 us), counts for ``t_d``,
+    then the nuclear-up line, and counts again; only the line matching
+    the current nuclear state excites, so the click imbalance encodes the
+    state. Under ``noise.t2_star`` each cycle draws its own static
+    detuning.
     """
     if n_ro < 1:
         raise ValueError("need at least one readout cycle")
     window = dyn.detect(t_d)
-    cycle = tuple(seg for line in readout_pair(sys)
-                  for seg in (_pulse(sys, line.frequency, pulse_fwhm), window))
+    cycle = tuple(seg for line in readout_pair(sys) for seg in
+                  (_pulse(sys, line.frequency, READOUT_FWHM), window))
     t_start = state.time
     c_down = c_up = 0
     for _ in range(n_ro):
@@ -207,54 +215,53 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
                        duration=state.time - t_start)
 
 
-def forbidden_pi(sys: SpinSystem, branch: str, *,
-                 omega_eff: float = TWO_PI * 15e3,
-                 edge: float = 5e-6) -> PulseSegment:
+def forbidden_pi(sys: SpinSystem, branch: str) -> PulseSegment:
     """Flattop pi pulse on a forbidden line at its drive-shifted frequency.
 
-    ``branch`` is ``"double_quantum"`` or ``"zero_quantum"``;
-    ``omega_eff`` the plateau Rabi frequency on the forbidden pair. The
-    carrier is placed at the frequency the line occupies *under* this
-    drive (the strong pulse pushes the line while driving it).
+    ``branch`` is ``"double_quantum"`` or ``"zero_quantum"``. The plateau
+    Rabi frequency on the pair is ``FORBIDDEN_RABI`` (2*pi * 15 kHz), the
+    Gaussian edges ``FORBIDDEN_EDGE`` (5 us) long. The carrier is placed
+    at the frequency the line occupies *under* this drive (the strong
+    pulse pushes the line while driving it).
     """
     trans = sys.transition(branch)
     filt = drive_filter(sys.cavity, trans.frequency - sys.cavity.omega_0)
-    amp = omega_eff / (2.0 * trans.matrix_element * filt)
+    amp = FORBIDDEN_RABI / (2.0 * trans.matrix_element * filt)
     # the Gaussian edges carry less area than a full plateau of the same
     # length; extend the duration by the measured deficit so the total
     # rotation is pi
+    plateau = math.pi / FORBIDDEN_RABI
     probe = PulseSegment(kind="flattop", frequency=trans.frequency,
-                         amplitude=amp, duration=math.pi / omega_eff + 2 * edge,
-                         edge=edge)
-    duration = math.pi / omega_eff + (probe.duration
-                                      - dyn.pulse_area(probe, sys))
+                         amplitude=amp, duration=plateau + 2 * FORBIDDEN_EDGE,
+                         edge=FORBIDDEN_EDGE)
+    duration = plateau + (probe.duration - dyn.pulse_area(probe, sys))
     shift = dyn.ac_zeeman_shift(sys, trans, amp * filt)
     return PulseSegment(kind="flattop", frequency=trans.frequency + shift,
-                        amplitude=amp, duration=duration, edge=edge)
+                        amplitude=amp, duration=duration, edge=FORBIDDEN_EDGE)
 
 
-def _dnp_train(sys: SpinSystem, target: str, n_prep: int,
-               **forbidden) -> tuple[PulseSegment, ...]:
+def _dnp_train(sys: SpinSystem, target: str,
+               n_prep: int) -> tuple[PulseSegment, ...]:
     """The pulse train of :func:`dnp_prepare`."""
     if target not in ("d", "u"):
         raise ValueError("target nuclear state must be 'd' or 'u'")
     branch = "zero_quantum" if target == "d" else "double_quantum"
     gamma = sys.gamma_r
     relax = wait(3.0 / gamma if gamma > 0 else 1e-3)
-    return (forbidden_pi(sys, branch, **forbidden), relax) * n_prep
+    return (forbidden_pi(sys, branch), relax) * n_prep
 
 
 def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
-                n_prep: int = 2, omega_eff: float = TWO_PI * 15e3,
-                noise: NoiseModel = NO_NOISE) -> None:
+                n_prep: int = 2, noise: NoiseModel = NO_NOISE) -> None:
     """Polarize the nucleus by a forbidden pi-pulse train; mutates ``state``.
 
     ``target="d"`` pumps the zero-quantum line (excitation out of the
     nuclear-up ground level relaxes into nuclear-down); ``target="u"``
-    pumps the double-quantum line. Each pulse is followed by a
-    relaxation wait of 3 electron lifetimes (1 ms without decay).
+    pumps the double-quantum line. Each pulse is a :func:`forbidden_pi`
+    (plateau Rabi frequency ``FORBIDDEN_RABI``, 2*pi * 15 kHz), followed
+    by a relaxation wait of 3 electron lifetimes (1 ms without decay).
     """
-    train = _dnp_train(sys, target, n_prep, omega_eff=omega_eff)
+    train = _dnp_train(sys, target, n_prep)
     _run(state, train, sys, None, rng, noise)
 
 

@@ -6,7 +6,8 @@ effective electron spin 1/2 coupled to n >= 0 nuclear spins 1/2, plus the
 closed-form branches valid in the high-field regime: transition
 frequencies, Sx matrix elements, Purcell and cross-relaxation rates,
 AC-Zeeman-shifted forbidden-transition frequencies and forbidden Rabi
-frequencies.
+frequencies. The AC-Zeeman shift is one root of a cubic, shared by the
+double- and zero-quantum branches.
 
 Unit convention: all frequencies in this package are angular (rad/s)
 internally; anything reported to the user is divided by 2*pi.
@@ -28,10 +29,6 @@ _NUC_UP = "u"     # |Up>    (m_I = +1/2)
 
 class DegenerateTransitionError(ValueError):
     """Raised when transition labeling is ambiguous (near-degenerate lines)."""
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised when an iterative solve does not reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -385,40 +382,25 @@ def closed_form_transitions(p: SpinParams):
     }
 
 
-def ac_zeeman_frequencies(p: SpinParams, omega_drive: float,
-                          max_iter: int = 100, rtol: float = 1e-10):
+def ac_zeeman_frequencies(p: SpinParams, omega_drive: float):
     """Drive-shifted forbidden-transition offsets (delta_d, delta_z).
 
-    Solves the self-consistent AC-Zeeman equation for each branch by fixed
-    point, continuing in drive amplitude from the undriven root so the
-    physically-connected solution is selected.
+    Both branches solve the same self-consistent equation for the shift
+    x = (W^2/4) * (1/(w_p - x) + 1/(w_m - x)), with W the drive amplitude,
+    delta_z = delta_z0 + x and delta_d = delta_d0 - x. Cleared of its
+    denominators it is the cubic
+    x^3 - (w_p + w_m) x^2 + (w_p w_m + W^2/2) x - (W^2/4)(w_p + w_m) = 0,
+    whose real root nearest 0 is the one connected to the undriven line
+    (an exact 0 without drive); the other two sit near w_p and w_m.
     """
     if omega_drive < 0:
         raise ValueError("drive amplitude must be non-negative")
     w_p, w_m, _, _ = nuclear_manifold_frequencies(p)
     d0_d, d0_z = forbidden_frequencies(p)
-
-    def solve(d0, sign, om):
-        delta = d0
-        for om_k in np.linspace(om / 8.0, om, 8) if om > 0 else [0.0]:
-            for _ in range(max_iter):
-                shift = (om_k ** 2 / 4.0) * (
-                    1.0 / (w_p - sign * (delta - d0))
-                    + 1.0 / (w_m - sign * (delta - d0)))
-                new = d0 + sign * shift
-                if abs(new - delta) <= rtol * max(abs(new), 1.0):
-                    delta = new
-                    break
-                delta = new
-            else:
-                raise NonConvergenceError(
-                    "AC-Zeeman fixed point did not converge")
-        return delta
-
-    # zero-quantum branch: delta = d0 + shift; double-quantum: delta = d0 - shift
-    delta_z = solve(d0_z, +1.0, omega_drive)
-    delta_d = solve(d0_d, -1.0, omega_drive)
-    return delta_d, delta_z
+    q, s = omega_drive ** 2 / 4.0, w_p + w_m
+    roots = np.roots([1.0, -s, w_p * w_m + 2.0 * q, -q * s])
+    x = float(min(roots[roots.imag == 0.0].real, key=abs))
+    return d0_d - x, d0_z + x
 
 
 def ac_zeeman_residual(p: SpinParams, omega_drive: float,

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from jumpspec.cli import main
+from jumpspec.cli import PROTOCOLS, main
 from jumpspec.config import (ConfigError, load_config, parse_config,
                              parse_quantity)
 
@@ -142,6 +142,33 @@ def test_run_unknown_parameter_fails_with_its_path(tmp_path, experiment,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("protocol", sorted(PROTOCOLS))
+def test_run_unknown_parameter_fails_before_the_run(tmp_path, monkeypatch,
+                                                     protocol):
+    """Every runner rejects a parameter it does not read before it
+    simulates anything."""
+    from jumpspec import cli, sequencer
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    for name in ("trace_experiment", "single_shot_readout", "eldor_scan",
+                 "dnp_prepare", "rabi_experiment", "ramsey_experiment",
+                 "echo_experiment"):
+        monkeypatch.setattr(sequencer, name, must_not_run)
+    monkeypatch.setattr(cli, "run_tracking", must_not_run)
+    monkeypatch.setattr(cli, "angle_sweep", must_not_run)
+    exps = f"[{{name: x, protocol: {protocol}, params: {{n_shot: 3}}}}]"
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["path"] == "experiments[0].params.n_shot"
+
+
 def test_run_report_and_reproducibility(tmp_path):
     exps = ("[{name: shells, protocol: lattice, "
             "params: {theta_points: 5, beta: 0.2}}, "
@@ -250,6 +277,23 @@ def test_spectroscopy_fit_error_is_recorded(tmp_path, monkeypatch):
     assert result.exit_code == 1
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"] == "runtime" and "bad spectrum" in err["message"]
+
+
+def test_short_sweep_records_fit_error(tmp_path):
+    """A sweep of fewer than 5 points is too short for the line fit: the
+    run succeeds, records why, and keeps the spectrum."""
+    exps = ("[{name: spec, protocol: spectroscopy, params: {span: 4 kHz, "
+            "step: 2 kHz, n_averages: 1, t_int: 100 us}}]")
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 0, result.output
+    summary = json.loads((tmp_path / "out" / "spec_summary.json").read_text())
+    assert summary["peak_delta_hz"] is None
+    assert "5 points" in summary["fit_error"]
+    rows = (tmp_path / "out" / "spec_spectra.csv").read_text().splitlines()
+    assert len(rows) == 1 + 3
 
 
 def test_report_missing_manifest_errors(tmp_path):

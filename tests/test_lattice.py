@@ -69,7 +69,7 @@ def test_orientation_small_angle_guard():
 
 def test_angle_sweep_and_assignment(model):
     sweep = angle_sweep(model, beta=0.2, theta_range=(-1.0, 1.0),
-                        n_points=41, nominal_range=(-0.5, 0.5))
+                        n_points=41)
     assert sweep.a_hz.shape == (10, 41)
     # a synthetic measurement taken from the table itself is recovered
     j = sweep.labels.index("III")

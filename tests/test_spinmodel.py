@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jumpspec.spinmodel import (CavityParams, DegenerateTransitionError,
                                 SpinParams, ac_zeeman_frequencies,
@@ -170,6 +172,26 @@ def test_ac_zeeman_shift_value_and_residual():
 def test_ac_zeeman_zero_drive_is_identity():
     p = default_params()
     assert ac_zeeman_frequencies(p, 0.0) == forbidden_frequencies(p)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(wi=st.floats(2e5, 5e6), sign=st.sampled_from([-1.0, 1.0]),
+       a=st.floats(-1.0, 1.0), b=st.floats(0.0, 1.0),
+       ws=st.floats(2e9, 12e9), drive=st.floats(0.05, 0.5))
+def test_ac_zeeman_shift_is_one_exact_root(wi, sign, a, b, ws, drive):
+    """High-field draws as in the eigen oracle, driven at 0.05 to 0.5
+    |omega_I|: both branches move by the same shift, in opposite
+    directions, and satisfy their equation to 1e-12 of that shift."""
+    p = SpinParams.from_hz(ws, sign * wi, [(a * wi / 5.5, b * wi / 5.5)])
+    om = drive * abs(p.omega_i)
+    d_d, d_z = ac_zeeman_frequencies(p, om)
+    d0_d, d0_z = forbidden_frequencies(p)
+    shift = d_z - d0_z
+    assert shift == d0_d - d_d
+    assert abs(ac_zeeman_residual(p, om, d_z, "zero_quantum")) \
+        <= 1e-12 * abs(shift)
+    assert abs(ac_zeeman_residual(p, om, d_d, "double_quantum")) \
+        <= 1e-12 * abs(shift)
 
 
 def test_forbidden_rabi_filtered_and_unfiltered():
