@@ -54,11 +54,8 @@ class SpinParams:
 
     @classmethod
     def from_hz(cls, omega_s_hz, omega_i_hz, couplings_hz=()):
-        return cls(
-            omega_s=TWO_PI * omega_s_hz,
-            omega_i=TWO_PI * omega_i_hz,
-            couplings=tuple((TWO_PI * a, TWO_PI * b) for a, b in couplings_hz),
-        )
+        return cls(TWO_PI * omega_s_hz, TWO_PI * omega_i_hz,
+                   tuple((TWO_PI * a, TWO_PI * b) for a, b in couplings_hz))
 
     @property
     def n_nuclei(self) -> int:
@@ -154,12 +151,8 @@ class SpinSystem:
     @property
     def gamma_r(self) -> float:
         """Mean allowed-transition radiative rate (1/s)."""
-        rates = [
-            ch.rate
-            for chans in self.channels
-            for ch in chans
-            if ch.transition.is_allowed
-        ]
+        rates = [ch.rate for chans in self.channels for ch in chans
+                 if ch.transition.is_allowed]
         return float(np.mean(rates)) if rates else 0.0
 
     @property
@@ -198,7 +191,6 @@ def drive_filter(cavity: CavityParams, detuning: float) -> float:
 def _operators(n_nuclei: int):
     sz2 = np.diag([0.5, -0.5])
     sx2 = np.array([[0.0, 0.5], [0.5, 0.0]])
-    dim = 2 ** (n_nuclei + 1)
     ops = {}
 
     def embed(op, pos):
@@ -212,7 +204,6 @@ def _operators(n_nuclei: int):
     for k in range(n_nuclei):
         ops[f"Iz{k}"] = embed(sz2, k + 1)
         ops[f"Ix{k}"] = embed(sx2, k + 1)
-    ops["dim"] = dim
     return ops
 
 
@@ -292,18 +283,14 @@ def build_system(p: SpinParams, c: CavityParams) -> SpinSystem:
             chans.append(DecayChannel(transition=t, rate=rate))
         channels.append(tuple(chans))
 
-    return SpinSystem(
-        params=p, cavity=c, energies=energies, eigenvectors=vecs,
-        levels=levels, transitions=tuple(transitions),
-        channels=tuple(channels),
-    )
+    return SpinSystem(params=p, cavity=c, energies=energies, eigenvectors=vecs,
+                      levels=levels, transitions=tuple(transitions),
+                      channels=tuple(channels))
 
 
 def _transition_label(nuc_lower: str, flips, n_nuclei: int) -> str:
     if not flips:
-        if n_nuclei == 0:
-            return "allowed"
-        return f"allowed_{nuc_lower}"
+        return f"allowed_{nuc_lower}" if n_nuclei else "allowed"
     if len(flips) == 1:
         k = flips[0]
         # double quantum: electron and nucleus flip the same way (Dd -> Uu)
@@ -389,26 +376,35 @@ def ac_zeeman_frequencies(p: SpinParams, omega_drive: float):
     x = (W^2/4) * (1/(w_p - x) + 1/(w_m - x)), with W the drive amplitude,
     delta_z = delta_z0 + x and delta_d = delta_d0 - x. Cleared of its
     denominators it is the cubic
-    x^3 - (w_p + w_m) x^2 + (w_p w_m + W^2/2) x - (W^2/4)(w_p + w_m) = 0,
-    whose real root nearest 0 is the one connected to the undriven line
-    (an exact 0 without drive); the other two sit near w_p and w_m.
+    x^3 - (w_p + w_m) x^2 + (w_p w_m + W^2/2) x - (W^2/4)(w_p + w_m) = 0.
+    The root connected to the undriven line (an exact 0 without drive) is
+    the one nearest 0 in [0, w_near), w_near the one of w_p, w_m nearer 0.
+    It merges with the interval's other root at a saddle-node (W about
+    |omega_I|/sqrt(2) at high field); a harder drive raises ValueError.
     """
     if omega_drive < 0:
         raise ValueError("drive amplitude must be non-negative")
     w_p, w_m, _, _ = nuclear_manifold_frequencies(p)
     d0_d, d0_z = forbidden_frequencies(p)
     q, s = omega_drive ** 2 / 4.0, w_p + w_m
+    w_near = min(w_p, w_m, key=abs)
     roots = np.roots([1.0, -s, w_p * w_m + 2.0 * q, -q * s])
-    x = float(min(roots[roots.imag == 0.0].real, key=abs))
+    inside = [r.real for r in roots
+              if r.imag == 0.0 and 0 <= r.real / w_near < 1]
+    if not inside:
+        raise ValueError("drive past the AC-Zeeman saddle-node")
+    x = float(min(inside, key=abs))
     return d0_d - x, d0_z + x
 
 
 def ac_zeeman_residual(p: SpinParams, omega_drive: float,
                        delta: float, branch: str) -> float:
-    """Residual of the defining self-consistent equation at ``delta``."""
+    """Residual of the defining self-consistent equation at ``delta``;
+    ``branch`` is "zero_quantum" or "double_quantum" (else KeyError)."""
     w_p, w_m, _, _ = nuclear_manifold_frequencies(p)
     d0_d, d0_z = forbidden_frequencies(p)
-    d0, sign = (d0_z, +1.0) if branch == "zero_quantum" else (d0_d, -1.0)
+    d0, sign = {"zero_quantum": (d0_z, +1.0),
+                "double_quantum": (d0_d, -1.0)}[branch]
     shift = (omega_drive ** 2 / 4.0) * (
         1.0 / (w_p - sign * (delta - d0)) + 1.0 / (w_m - sign * (delta - d0)))
     return delta - (d0 + sign * shift)

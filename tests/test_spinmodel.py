@@ -194,6 +194,31 @@ def test_ac_zeeman_shift_is_one_exact_root(wi, sign, a, b, ws, drive):
         <= 1e-12 * abs(shift)
 
 
+@pytest.mark.parametrize("couplings", [(34.5e3, 103e3), (3.0e6, 1.0e6)],
+                         ids=["high_field", "strong_coupling"])
+def test_ac_zeeman_raises_past_the_saddle_node(couplings):
+    """Driven harder than the saddle-node (about |omega_I|/sqrt(2) at high
+    field), no shift is connected to the undriven line; the root left over
+    lies beyond w_p or w_m and must not be returned."""
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [couplings])
+    w_near = min(nuclear_manifold_frequencies(p)[:2], key=abs)
+    d0_z = forbidden_frequencies(p)[1]
+    om = 0.6 * abs(w_near)
+    shift = ac_zeeman_frequencies(p, om)[1] - d0_z
+    assert 0.0 < shift / w_near < 1.0
+    with pytest.raises(ValueError, match="saddle-node"):
+        ac_zeeman_frequencies(p, 2.0 * abs(w_near))
+
+
+def test_ac_zeeman_residual_rejects_unknown_branch():
+    p = default_params()
+    om = TWO_PI * 220e3
+    d_z = ac_zeeman_frequencies(p, om)[1]
+    assert abs(ac_zeeman_residual(p, om, d_z, "zero_quantum")) < 1e-9 * abs(d_z)
+    with pytest.raises(KeyError):
+        ac_zeeman_residual(p, om, d_z, "zero-quantum")
+
+
 def test_forbidden_rabi_filtered_and_unfiltered():
     p = default_params()
     cav = default_cavity()
