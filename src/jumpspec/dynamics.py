@@ -11,11 +11,16 @@ A segment propagates on one of two paths (see ``apply_pulse``):
 population mode when no coherence is carried; and no-jump maps, in
 closed form for free evolution and from cumulative 4x4 maps for driven
 segments, both linear on the unnormalised state (Dalibard, Castin &
-Mølmer, PRL 68, 580, 1992), tabulated once per drive and shot offset.
-A lossy drive's maps are tabulated in blocks of steps. The maps draw one
-uniform per step and compare it with the step's jump hazard, as a
-per-step Bloch loop would, so such a loop is their reference in the
-tests.
+Mølmer, PRL 68, 580, 1992), tabulated once per drive and shot offset
+from the closed-form rotation of each step about (x, 0, z). A lossy
+drive's maps are tabulated in blocks of steps. The maps draw one uniform
+per step and compare it with the step's jump hazard, as a per-step Bloch
+loop would, so such a loop is their reference in the tests. No hazard
+exceeds a bound known before the maps are read (p_step for a drive,
+p_step times the upper population for free evolution), so a segment
+whose draws all reach it is jump-free without forming its hazards, and a
+per-shot table leaves its hazards and cumulative maps unscanned until a
+segment's draws come near one.
 
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
@@ -28,9 +33,10 @@ only per-shot state is one table slot per drive, holding the table of
 the last shot offset the drive ran under: without t2* that offset is 0
 for good, and under t2* a shot's repeated pulses share the slot until
 the next offset replaces it, so memory does not grow with the number of
-shots. Threads sharing a system may build a plan or a table twice; each
-depends only on its key (the offset, for a table), so either copy
-serves.
+shots. Threads sharing a system may build a plan or a table twice, or
+scan a table twice; each depends only on its key (the offset, for a
+table), so either copy serves, and a scan fills every map before it
+marks the table scanned.
 
 Optional dephasing (off by default): a static per-shot detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
@@ -329,15 +335,19 @@ class _StepDecay:
 
     ``p_step`` is the jump probability of a fully excited level per step,
     q = 1 - p_step. ``survival[i]`` is the no-jump probability over the
-    first ``i`` steps, q**i.
+    first ``i`` steps, q**i. No step's hazard exceeds p_step;
+    ``max_hazard`` bounds it with a margin for rounding, so that a uniform
+    at or above it cannot be a jump.
     """
 
-    __slots__ = ("record", "p_step", "sqrt_survive", "survival")
+    __slots__ = ("record", "p_step", "max_hazard", "sqrt_survive",
+                 "survival")
 
     def __init__(self, record: _Decay, dt: float, n_steps: int):
         self.record = record
         self.p_step = (-math.expm1(-record.total * dt) if record.total > 0
                        else 0.0)
+        self.max_hazard = self.p_step * (1.0 + 1e-9)
         self.sqrt_survive = math.sqrt(1.0 - self.p_step)
         self.survival = (1.0 - self.p_step) ** np.arange(n_steps + 1)
 
@@ -372,11 +382,14 @@ class _NoJumpTable:
     keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). So for a
     start vector v the jump hazard of step i is (num[i] . v) / (den[i] . v)
     (the upper population after the rotation, times p_step, over the trace
-    before the step) and the end state is end @ v. ``restart(i)`` is the
-    start vector whose no-jump evolution passes through the lower pole
-    right after step i, so a jump back into the pair at step i continues
-    from it. The population basis keeps the trace of a decaying upper
-    level exact (no cancellation between n and Z).
+    before the step) and the end state is end @ v. The rotated upper
+    population never exceeds the trace, so no hazard exceeds p_step: a
+    segment whose draws all reach ``max_hazard`` of its decay is jump-free
+    without a hazard being formed. ``restart(i)`` is the start vector whose
+    no-jump evolution passes through the lower pole right after step i, so
+    a jump back into the pair at step i continues from it. The population
+    basis keeps the trace of a decaying upper level exact (no cancellation
+    between n and Z).
 
     The step grid is split into blocks of ``drive.block`` steps, the
     longest whose no-jump survival is at least ``_MIN_SURVIVAL``; a drive
@@ -387,35 +400,63 @@ class _NoJumpTable:
     and a restart never inverts a map of lower survival. The cumulative
     maps come from a doubling scan within each block, ceil(log2 block)
     batched products (Hillis & Steele, CACM 29, 1170, 1986). A one-block
-    table also holds the hazards and end state of the two pole starts, the
-    readout's common case.
+    table also holds the end states of the two pole starts, the readout's
+    common case, and once scanned their hazards.
 
     A table lives in its drive's one slot for as long as the shot
     ``offset`` (rad/s, subtracted from the detuning as in ``_free_map``)
-    stays the same. At offset 0 that is for good, so the table solves
-    every restart vector at once and drops the cumulative maps. A
-    per-shot offset serves only one shot's segments, so its table keeps
-    the maps and solves a restart vector only when a jump needs one. No
-    reader mutates a table.
+    stays the same. At offset 0 that is for good, so the table scans when
+    it is built, solves every restart vector at once and drops the
+    cumulative maps. A per-shot offset serves only one shot's segments,
+    whose draws rarely come near a hazard, so its table keeps the maps and
+    solves a restart vector only when a jump needs one; and a one-block
+    per-shot table is built as its step maps and an end map from a
+    pairwise product tree, and defers the scan (``num``, ``den``, the pole
+    hazards and the cumulative maps) to the first segment whose draws do
+    not clear ``max_hazard``. Its ``end`` and ``pole_end`` are fixed when
+    it is built. ``pending`` holds what the scan needs until it has run;
+    the scan fills every map before it clears ``pending``, so a thread
+    that finds it cleared reads complete maps, and two threads that both
+    scan compute equal maps.
     """
 
     __slots__ = ("num", "den", "end", "spans", "prefix", "restarts",
-                 "pole_hazard", "pole_end")
+                 "pole_hazard", "pole_end", "pending")
 
     def __init__(self, plan, drive, offset: float = 0.0):
         n, block = plan.n_steps, drive.block
         env = np.asarray(plan.envelope)
-        wx = drive.omega_peak * env
         detuning = (plan.frame - drive.trans.frequency - offset
                     if plan.frame != 0.0 else 0.0)
-        w = np.stack([wx, np.zeros(n), detuning - drive.ac_shift * env * env],
-                     axis=1)
         decay = drive.decay
-        q = 1.0 - decay.p_step
         transverse = decay.sqrt_survive * plan.t2_decay
-        weights = np.array([1.0, q, transverse, transverse])
-        step_map = (weights[:, None, None] * _STEP_BASIS).reshape(16, 10)
-        steps = (_rotation_features(w, plan.dt) @ step_map.T).reshape(n, 4, 4)
+        weights = np.array([1.0, 1.0 - decay.p_step, transverse, transverse])
+        steps = _step_maps(drive.omega_peak * env,
+                           detuning - drive.ac_shift * env * env, plan.dt,
+                           weights)
+        self.num = self.den = self.prefix = self.restarts = None
+        self.pole_hazard = self.pole_end = None
+        self.pending = (steps, block, decay.p_step, offset)
+        if offset != 0.0 and block == n:
+            self._set_end(_product(steps), ((0, n, None),))
+        else:
+            self.end = None
+            self.scan()
+
+    def _set_end(self, end, spans):
+        self.end, self.spans = end, spans
+        if len(spans) == 1:
+            # pole starts: v = e_0 or e_1
+            self.pole_end = (_bloch(end[:, 0]), _bloch(end[:, 1]))
+
+    def scan(self):
+        """Tabulate the hazards and the cumulative maps; once done, a
+        no-op."""
+        pending = self.pending
+        if pending is None:
+            return
+        steps, block, p_step, offset = pending
+        n = len(steps)
         prefix = steps.copy()
         for first in range(0, n, block):
             part = prefix[first:first + block]
@@ -426,30 +467,35 @@ class _NoJumpTable:
         eye = np.eye(4)
         before = np.concatenate([eye[None], prefix[:-1]])
         before[block::block] = eye      # each block starts at the identity
-        self.den = before[:, 0] + before[:, 1]
+        den = before[:, 0] + before[:, 1]
         # row 1 of a step is the rotated upper population times q
-        self.num = (decay.p_step / q) * np.einsum("ij,ijk->ik", steps[:, 1],
-                                                  before)
-        ends, self.end = prefix[block - 1::block], prefix[-1]
-        self.prefix = self.restarts = None
+        num = (p_step / (1.0 - p_step)) * np.einsum("ij,ijk->ik", steps[:, 1],
+                                                    before)
+        ends, end = prefix[block - 1::block], prefix[-1]
         if offset != 0.0:
             self.prefix = prefix
         else:
-            if decay.p_step > 0.0:
+            if p_step > 0.0:
                 lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
                 self.restarts = np.linalg.solve(prefix, lower)[..., 0]
             # copies free the cumulative maps
-            ends, self.end = ends.copy(), self.end.copy()
-        # (first step, stop, end map of the block before) of each block
-        self.spans = tuple((first, min(first + block, n),
-                            ends[first // block - 1] if first else None)
-                           for first in range(0, n, block))
-        self.pole_hazard = self.pole_end = None
+            ends, end = ends.copy(), end.copy()
+        self.num, self.den = num, den
         if block == n:
-            # pole starts: v = e_0 or e_1
-            self.pole_hazard = (self.num[:, 0] / self.den[:, 0],
-                                self.num[:, 1] / self.den[:, 1])
-            self.pole_end = (_bloch(self.end[:, 0]), _bloch(self.end[:, 1]))
+            self.pole_hazard = (num[:, 0] / den[:, 0], num[:, 1] / den[:, 1])
+        if self.end is None:
+            # (first step, stop, end map of the block before) of each block
+            self._set_end(end, tuple(
+                (first, min(first + block, n),
+                 ends[first // block - 1] if first else None)
+                for first in range(0, n, block)))
+        self.pending = None
+
+    def hazard(self, v, start: int, stop: int) -> np.ndarray:
+        """Jump hazards of steps ``start:stop`` of a block from the start
+        vector ``v`` of that block (or the restart vector of the step
+        before ``start``)."""
+        return (self.num[start:stop] @ v) / (self.den[start:stop] @ v)
 
     def restart(self, i: int) -> np.ndarray:
         if self.restarts is not None:
@@ -459,46 +505,67 @@ class _NoJumpTable:
 
 _LOWER_POLE = np.array([1.0, 0.0, 0.0, 0.0])
 
-#: Cross-product matrix [a]x of an axis a, flattened: a @ _CROSS.
-_CROSS = np.zeros((3, 9))
-_CROSS[[2, 1, 2, 0, 1, 0], [1, 2, 3, 5, 6, 7]] = [-1, 1, 1, -1, -1, 1]
-
-
-def _step_basis():
+def _rotation_map():
     """One no-jump step before its Kraus and t2 weights: a (4, 4) map on
-    (rho_ll, rho_uu, X, Y), linear in the features (1, R00, ..., R22) of
-    its rotation R. Row j of R acts through z = rho_uu - rho_ll, and the
-    populations after it are (trace -/+ z)/2."""
-    basis = np.zeros((4, 4, 10))
-    basis[:2, :2, 0] = 0.5
-    column = 1 + np.arange(9).reshape(3, 3)          # feature of R[i, j]
-    for out, j, scale in ((0, 2, -0.5), (1, 2, 0.5), (2, 0, 1.0),
-                          (3, 1, 1.0)):
-        basis[out, range(4), column[j, [2, 2, 0, 1]]] = [-scale, scale,
-                                                         scale, scale]
+    (rho_ll, rho_uu, X, Y), linear in the features (1, c, s ax, s az,
+    (1 - c) ax^2, (1 - c) az^2, (1 - c) ax az) of a rotation by an angle
+    of cosine c and sine s about the unit axis (ax, 0, az). The rotation
+    acts on (X, Y, Z) through Z = rho_uu - rho_ll, and the populations
+    after it are (trace -/+ Z)/2."""
+    basis = np.zeros((4, 4, 7))
+    # (row, column, feature, coefficient)
+    for row, col, feature, coef in (
+            (0, 0, 0, 0.5), (0, 0, 1, 0.5), (0, 0, 5, 0.5),
+            (0, 1, 0, 0.5), (0, 1, 1, -0.5), (0, 1, 5, -0.5),
+            (0, 2, 6, -0.5), (0, 3, 2, -0.5),
+            (1, 0, 0, 0.5), (1, 0, 1, -0.5), (1, 0, 5, -0.5),
+            (1, 1, 0, 0.5), (1, 1, 1, 0.5), (1, 1, 5, 0.5),
+            (1, 2, 6, 0.5), (1, 3, 2, 0.5),
+            (2, 0, 6, -1.0), (2, 1, 6, 1.0), (2, 2, 1, 1.0),
+            (2, 2, 4, 1.0), (2, 3, 3, -1.0),
+            (3, 0, 2, 1.0), (3, 1, 2, -1.0), (3, 2, 3, 1.0),
+            (3, 3, 1, 1.0)):
+        basis[row, col, feature] = coef
     return basis
 
 
-_STEP_BASIS = _step_basis()
+_ROTATION_MAP = _rotation_map()
 
 
-def _rotation_features(w, dt):
-    """(1, R00, R01, ..., R22) of the per-step Rodrigues rotations about
-    the rows of ``w`` (rad/s) over ``dt``."""
-    norm2 = np.einsum("ij,ij->i", w, w)
-    turn = norm2 > 1e-28
-    norm = np.sqrt(np.where(turn, norm2, 1.0))
-    axis = w * np.where(turn, 1.0 / norm, 0.0)[:, None]
-    angle = np.where(turn, dt * norm, 0.0)
+def _step_maps(wx, wz, dt, weights):
+    """(n, 4, 4) no-jump maps of the steps that rotate about the rows of
+    (wx, 0, wz) (rad/s) over ``dt``, with rows scaled by ``weights``."""
+    n = len(wx)
+    norm = np.hypot(wx, wz)
+    inv = np.divide(1.0, norm, out=np.zeros(n), where=norm > 1e-14)
+    ax, az = wx * inv, wz * inv
+    angle = dt * norm
     c, s = np.cos(angle), np.sin(angle)
-    n = len(w)
-    feats = np.empty((n, 10))
+    vers_x, vers_z = (1.0 - c) * ax, (1.0 - c) * az
+    feats = np.empty((n, 7))
     feats[:, 0] = 1.0
-    feats[:, 1:] = ((1.0 - c)[:, None]
-                    * (axis[:, :, None] * axis[:, None, :]).reshape(n, 9)
-                    + (s[:, None] * axis) @ _CROSS)
-    feats[:, [1, 5, 9]] += c[:, None]
-    return feats
+    feats[:, 1] = c
+    feats[:, 2] = s * ax
+    feats[:, 3] = s * az
+    feats[:, 4] = vers_x * ax
+    feats[:, 5] = vers_z * az
+    feats[:, 6] = vers_x * az
+    basis = (weights[:, None, None] * _ROTATION_MAP).reshape(16, 7)
+    return (feats @ basis.T).reshape(n, 4, 4)
+
+
+def _product(maps) -> np.ndarray:
+    """maps[-1] @ ... @ maps[0], as a pairwise product tree."""
+    left = []
+    while len(maps) > 1:
+        if len(maps) % 2:
+            left.append(maps[-1])
+            maps = maps[:-1]
+        maps = maps[1::2] @ maps[::2]
+    out = maps[0]
+    for m in reversed(left):
+        out = m @ out
+    return out
 
 
 def _bloch(v) -> list:
@@ -620,7 +687,11 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       always 0, and one table serves every shot. A lossy drive's maps run
       block by block. One uniform per step is drawn and compared with the
       step's hazard, as a per-step Bloch loop would, so events, levels
-      and random stream match such a loop up to rounding.
+      and random stream match such a loop up to rounding. When every
+      draw is at least the largest hazard the segment can have, the
+      segment is jump-free and only its end map is applied; a per-shot
+      table scans its hazards and cumulative maps on the first segment
+      whose draws do not clear that bound.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -693,9 +764,9 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
         uniforms = rng.random(n)
         p_upper = 0.5 * (1.0 + z)
         p_lower = 1.0 - p_upper
-        weight = p_upper * decay.survival
-        hazard = decay.p_step * weight[:-1] / (p_lower + weight[:-1])
-        i = _first_hit(uniforms < hazard)
+        # the hazards only fall from step 0's p_step * p_upper
+        i = (_first_hit(uniforms < _free_hazard(decay, p_upper))
+             if uniforms.min() < decay.max_hazard * p_upper else None)
         if i is not None:
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
@@ -705,7 +776,7 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
             state.bloch = [0.0, 0.0, -1.0]
             state.time = t0 + plan.wall_time
             return events
-        upper_end = float(weight[-1])
+        upper_end = p_upper * float(decay.survival[-1])
         norm = p_lower + upper_end
         scale *= decay.sqrt_survive ** n / norm
         z = (upper_end - p_lower) / norm
@@ -716,6 +787,13 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     state.bloch = [(x * c - y * s) * scale, (y * c + x * s) * scale, z]
     state.time = t0 + plan.wall_time
     return events
+
+
+def _free_hazard(decay: _StepDecay, p_upper: float) -> np.ndarray:
+    """Jump hazard of each step of a free segment that starts with upper
+    population ``p_upper``."""
+    weight = p_upper * decay.survival[:-1]
+    return decay.p_step * weight / (1.0 - p_upper + weight)
 
 
 def _first_hit(mask: np.ndarray) -> int | None:
@@ -733,25 +811,38 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
                table: _NoJumpTable, rng):
     """Driven no-jump evolution from a table of the drive's maps.
 
-    Each start vector (a pole, the entry coherence, or the restart vector
-    after a jump back to the lower level) costs two mat-vecs for the
-    hazards of the remaining steps of its block and one for the block's
-    end state; a one-block table has the pole starts precomputed. At a
-    block boundary the state is carried by the block's end map and
-    renormalised to unit trace.
+    A segment whose draws all reach the decay's ``max_hazard`` is
+    jump-free: its end state is the end map's image of the start, and a
+    deferred table stays unscanned. Otherwise each start vector (a pole,
+    the entry coherence, or the restart vector after a jump back to the
+    lower level) costs two mat-vecs for the hazards of the remaining steps
+    of its block and one for the block's end state; a one-block table has
+    the pole starts' end states, and once scanned their hazards,
+    precomputed. A pole start on a scanned table compares its hazards at
+    once, which costs less than the minimum of the draws. At a block
+    boundary the state is carried by the block's end map and renormalised
+    to unit trace.
     """
     decay = drive.decay
     n, dt = plan.n_steps, plan.dt
     t0 = state.time
     events: list[JumpEvent] = []
     x, y, z = state.bloch
-    if (table.pole_hazard is not None and x == 0.0 and y == 0.0
+    if (table.pole_end is not None and x == 0.0 and y == 0.0
             and (z == 1.0 or z == -1.0)):
-        v, hazard, end = None, table.pole_hazard[z > 0], table.pole_end[z > 0]
+        v, end = None, table.pole_end[z > 0]
     else:
         v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
-        hazard = None
     uniforms = rng.random(n) if decay.record.total > 0 else None
+    if uniforms is not None:
+        # a pole start on a scanned table skips the bound
+        if ((v is not None or table.pending is not None)
+                and uniforms.min() >= decay.max_hazard):
+            uniforms = None
+        else:
+            table.scan()
+    hazard = (table.pole_hazard[z > 0] if v is None and uniforms is not None
+              else None)
     for start, stop, carry in table.spans:
         if carry is not None:
             v = carry @ v
@@ -759,8 +850,7 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
             hazard = None
         while uniforms is not None and start < stop:
             if hazard is None:
-                hazard = ((table.num[start:stop] @ v)
-                          / (table.den[start:stop] @ v))
+                hazard = table.hazard(v, start, stop)
             hit = _first_hit(uniforms[start:stop] < hazard)
             if hit is None:
                 break

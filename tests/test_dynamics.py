@@ -445,29 +445,28 @@ def _assert_same_shot(state, events, rng, ref, ref_events, ref_rng):
         np.testing.assert_allclose(state.bloch, ref.bloch, rtol=0, atol=1e-9)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(fast=st.booleans(),
-       kind=st.sampled_from(["gaussian_pi", "flattop", "wait",
-                             "detect_window"]),
-       offset_hz=st.floats(-30e3, 8e3),
-       pulse_len=st.floats(10e-6, 200e-6),
-       free_len=st.floats(10e-6, 3e-3),
-       rotation=st.floats(0.1, 2.0 * math.pi),
-       t2=st.one_of(st.none(), st.floats(20e-6, 2e-3)),
-       start=st.one_of(st.sampled_from(["lower", "upper"]),
-                       st.tuples(st.floats(0.06, math.pi - 0.06),
-                                 st.floats(0.0, 2.0 * math.pi))),
-       shot_hz=st.floats(-20e3, 20e3),
-       framed=st.booleans(),
-       seed=st.integers(0, 2 ** 31))
-def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
-                                      offset_hz, pulse_len, free_len,
-                                      rotation, t2, start, shot_hz, framed,
-                                      seed):
-    """The closed-form and tabulated maps against the per-step loop: same
-    jumps, levels and random stream; times and Bloch vectors to rounding.
-    The first shots carry the static detuning ``shot_hz`` and the rest
-    none, so a driven segment's table slot is filled once per offset."""
+#: Segments, noise, start states and shot offsets of the no-jump maps'
+#: property tests.
+_MAP_CASES = dict(
+    fast=st.booleans(),
+    kind=st.sampled_from(["gaussian_pi", "flattop", "wait", "detect_window"]),
+    offset_hz=st.floats(-30e3, 8e3),
+    pulse_len=st.floats(10e-6, 200e-6),
+    free_len=st.floats(10e-6, 3e-3),
+    rotation=st.floats(0.1, 2.0 * math.pi),
+    t2=st.one_of(st.none(), st.floats(20e-6, 2e-3)),
+    start=st.one_of(st.sampled_from(["lower", "upper"]),
+                    st.tuples(st.floats(0.06, math.pi - 0.06),
+                              st.floats(0.0, 2.0 * math.pi))),
+    shot_hz=st.floats(-20e3, 20e3),
+    framed=st.booleans(),
+    seed=st.integers(0, 2 ** 31))
+
+
+def _map_case(system, fast_system, fast, kind, offset_hz, pulse_len,
+              free_len, rotation, t2, start, framed):
+    """(system, segment, noise, plan, start state, drive) of one drawn
+    case; the drive is ``None`` for an undriven segment."""
     sys = fast_system if fast else system
     t = sys.transition("allowed_d")
     noise = NoiseModel(t2=t2)
@@ -496,7 +495,23 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
             state.pair = drive.pair
     if driven:
         assume(drive is not None)
-    start_state = state
+    return sys, seg, noise, plan, state, drive
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**_MAP_CASES)
+def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
+                                      offset_hz, pulse_len, free_len,
+                                      rotation, t2, start, shot_hz, framed,
+                                      seed):
+    """The closed-form and tabulated maps against the per-step loop: same
+    jumps, levels and random stream; times and Bloch vectors to rounding.
+    The first shots carry the static detuning ``shot_hz`` and the rest
+    none, so a driven segment's table slot is filled once per offset."""
+    sys, seg, noise, plan, start_state, drive = _map_case(
+        system, fast_system, fast, kind, offset_hz, pulse_len, free_len,
+        rotation, t2, start, framed)
+    driven = drive is not None
     # several shots per drawn segment: a hazard that is off by p_step**2
     # flips one comparison in ~1e4
     for shot in range(8):
@@ -509,6 +524,49 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
         if driven:
             assert drive.table[0] == offset     # the shot's maps ran
         _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(**_MAP_CASES)
+def test_hazards_stay_below_their_bound(system, fast_system, fast, kind,
+                                        offset_hz, pulse_len, free_len,
+                                        rotation, t2, start, shot_hz, framed,
+                                        seed):
+    """The jump-free test of a segment rests on a bound: no hazard of a
+    table exceeds ``max_hazard`` (p_step with a margin for rounding), from
+    either pole, the drawn start carried from block to block, or any
+    restart vector; and a free segment's hazards never rise above their
+    step-0 value, p_step * p_upper."""
+    sys, seg, noise, plan, state, drive = _map_case(
+        system, fast_system, fast, kind, offset_hz, pulse_len, free_len,
+        rotation, t2, start, framed)
+    if drive is None:
+        decay = plan.decay_for(state.pair[1])
+        p_upper = 0.5 * (1.0 + state.bloch[2])
+        hazard = dyn._free_hazard(decay, p_upper)
+        assert hazard.max() <= decay.max_hazard * p_upper
+        assert hazard.max() <= hazard[0] * (1.0 + 1e-9)
+        return
+    bound = drive.decay.max_hazard
+    starts = [np.eye(4)[0], np.eye(4)[1]]
+    if state.bloch is not None:
+        x, y, z = state.bloch
+        starts.append(np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y]))
+    for offset in (TWO_PI * shot_hz, 0.0):
+        table = dyn._NoJumpTable(plan, drive, offset)
+        table.scan()
+        for v in starts:
+            for first, stop, carry in table.spans:
+                if carry is not None:
+                    v = carry @ v
+                    v = v / (v[0] + v[1])
+                assert table.hazard(v, first, stop).max() <= bound
+        for first, stop, _ in table.spans:
+            for i in range(first, stop - 1):
+                assert table.hazard(table.restart(i), i + 1,
+                                    stop).max() <= bound
+        if table.pole_hazard is not None:
+            assert max(h.max() for h in table.pole_hazard) <= bound
 
 
 def test_window_photons_lie_inside_the_window(system):
@@ -595,6 +653,77 @@ def test_shot_table_is_built_once_per_offset(monkeypatch):
     assert readout_tables(5) == readout_tables(50)
 
 
+def _ramsey_shots(sys, n, noise):
+    """n seeded shots of pi/2 -- 30 us -- pi/2 on ``allowed_d``, each
+    with its own t2* offset: (events, level, Bloch vector, random stream
+    state) after each."""
+    t = sys.transition("allowed_d")
+    carrier = t.frequency + TWO_PI * 1e3
+    half = gaussian_pi(carrier, fwhm=20e-6, rotation=math.pi / 2)
+    out = []
+    for i in range(n):
+        rng = trajectory_rng(43, i)
+        state = SystemState(level=t.lower, shot_offset=noise.shot_offset(rng))
+        events = []
+        for seg in (half, wait(30e-6, frame_frequency=carrier), half):
+            events += apply_pulse(state, seg, sys, rng, noise)
+        out.append((events, state.level, state.bloch,
+                    repr(rng.bit_generator.state)))
+    return out
+
+
+def _assert_same_shots(shots, ref_shots):
+    """Same events, levels and random stream; Bloch vectors to 1e-12."""
+    assert len(shots) == len(ref_shots)
+    for (events, level, bloch, stream), ref in zip(shots, ref_shots):
+        assert (events, level, stream) == (ref[0], ref[1], ref[3])
+        assert (bloch is None) == (ref[2] is None)
+        if bloch is not None:
+            np.testing.assert_allclose(bloch, ref[2], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("g0_hz, shots", [(4.5e3, 60), (45e3, 20)])
+def test_shot_table_scans_only_near_a_hazard(monkeypatch, g0_hz, shots):
+    """A per-shot table defers its scan until a segment's draws come near
+    a hazard: on the slow system few Ramsey tables scan, on the fast one
+    some do. The scan leaves the end maps the table was built with, so
+    scanning every table at once gives the same shots."""
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    cavity = CavityParams.from_hz(7.334e9, 640e3, g0_hz)
+    noise = NoiseModel(t2_star=100e-6)
+    built, scanned = [], []
+    init, scan = dyn._NoJumpTable.__init__, dyn._NoJumpTable.scan
+
+    def counted_init(table, *args):
+        built.append(table)
+        init(table, *args)
+
+    def counted_scan(table):
+        before = table.end, table.pole_end
+        if table.pending is not None:
+            scanned.append(table)
+        scan(table)
+        if before[0] is not None:
+            assert table.end is before[0] and table.pole_end is before[1]
+
+    monkeypatch.setattr(dyn._NoJumpTable, "__init__", counted_init)
+    monkeypatch.setattr(dyn._NoJumpTable, "scan", counted_scan)
+    deferred = _ramsey_shots(build_system(p, cavity), shots, noise)
+    assert len(built) == shots
+    if g0_hz < 10e3:
+        assert len(scanned) < len(built) / 4
+    else:
+        assert scanned
+
+    def scanned_init(table, *args):
+        init(table, *args)
+        table.scan()
+
+    monkeypatch.setattr(dyn._NoJumpTable, "__init__", scanned_init)
+    _assert_same_shots(deferred,
+                       _ramsey_shots(build_system(p, cavity), shots, noise))
+
+
 def test_memo_is_freed_with_its_system():
     """Plans and decay records live on their system and keep nothing
     else alive: a system is collected once the caller drops it."""
@@ -631,6 +760,55 @@ def test_decay_records_are_shared_across_noise_models():
     # both without t2, share theirs
     assert len(plans) == 4
     assert all(plan.records is plans[0].records for plan in plans)
+
+
+def test_threads_sharing_a_table_agree_with_one_thread():
+    """Threads that run the same shots on one system share each shot's
+    table and may scan it at once; every thread's shots match a serial
+    run."""
+    import sys
+    import threading
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    cavity = CavityParams.from_hz(7.334e9, 640e3, 45e3)
+    noise = NoiseModel(t2_star=100e-6)
+    serial = _ramsey_shots(build_system(p, cavity), 30, noise)
+    shared = build_system(p, cavity)
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda w=w: results.__setitem__(
+            w, _ramsey_shots(shared, 30, noise))) for w in range(4)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+            assert not th.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 4
+    for shots in results.values():
+        _assert_same_shots(shots, serial)
+
+
+@pytest.mark.parametrize("shot_hz", [0.0, 3e3])
+def test_undriven_flattop_matches_step_loop(fast_system, shot_hz):
+    """A flattop of zero amplitude framed on its line: without a shot
+    offset every step's rotation vector is zero, with one it turns about
+    z; either way the maps match the step loop."""
+    t = fast_system.transition("allowed_d")
+    seg = PulseSegment(kind="flattop", frequency=t.frequency, amplitude=0.0,
+                       duration=60e-6)
+    for i in range(40):
+        start = SystemState(level=t.upper if i % 2 else t.lower,
+                            shot_offset=TWO_PI * shot_hz)
+        if i % 4 == 0:
+            start.bloch, start.pair = [0.6, 0.0, 0.8], (t.lower, t.upper)
+        state, ref = replace(start), replace(start)
+        rng, ref_rng = trajectory_rng(44, i), trajectory_rng(44, i)
+        events = apply_pulse(state, seg, fast_system, rng)
+        ref_events = _via_step_loop(ref, seg, fast_system, ref_rng, NO_NOISE)
+        _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
 
 
 def test_lossy_drive_keeps_step_loop_precision(fast_system):
