@@ -13,25 +13,26 @@ closed form for free evolution and from cumulative 4x4 maps for driven
 segments, both linear on the unnormalised state (Dalibard, Castin &
 Mølmer, PRL 68, 580, 1992), tabulated once per drive and shot offset
 from the closed-form rotation of each step about (x, 0, z). A lossy
-drive's maps are tabulated in blocks of steps. The maps draw one uniform
-per step and compare it with the step's jump hazard, as a per-step Bloch
-loop would, so such a loop is their reference in the tests. No hazard
-exceeds a bound known before the maps are read (p_step for a drive,
-p_step times the upper population for free evolution), so a segment
-whose draws all reach it is jump-free without forming its hazards, and a
-per-shot table leaves its hazards and cumulative maps unscanned until a
-segment's draws come near one.
+drive's maps are tabulated in blocks of steps. The trace of the
+unnormalised state is the no-jump survival, so the maps draw one uniform
+per jump opportunity (a segment, each further block of a lossy table,
+and each restart after a jump back into the driven pair) and jump at the
+first step whose survival falls below it: the first jump time by
+inverse CDF (Gillespie, J. Phys. Chem. 81, 2340, 1977). A per-step Bloch
+loop that keeps the running product of its step survivals makes the
+same draws, so such a loop is their reference in the tests. A segment
+whose uniform is at most its end survival is jump-free, which costs one
+compare, and a per-shot table leaves its survival rows and cumulative
+maps unscanned until a segment jumps.
 
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
 when it is constructed; the plan carries what the hot path reads (wall
-time, drive targets, step grid), and the first jump of a segment is the
-first step whose uniform falls below its hazard, found without
-collecting the later ones. Plans and decay records are memoised by value
-on the ``SpinSystem`` they belong to, so they are freed with it. Their
-only per-shot state is one table slot per drive, holding the table of
-the last shot offset the drive ran under: without t2* that offset is 0
-for good, and under t2* a shot's repeated pulses share the slot until
+time, drive targets, step grid). Plans and decay records are memoised by
+value on the ``SpinSystem`` they belong to, so they are freed with it.
+Their only per-shot state is one table slot per drive, holding the table
+of the last shot offset the drive ran under: without t2* that offset is
+0 for good, and under t2* a shot's repeated pulses share the slot until
 the next offset replaces it, so memory does not grow with the number of
 shots. Threads sharing a system may build a plan or a table twice, or
 scan a table twice; each depends only on its key (the offset, for a
@@ -335,19 +336,15 @@ class _StepDecay:
 
     ``p_step`` is the jump probability of a fully excited level per step,
     q = 1 - p_step. ``survival[i]`` is the no-jump probability over the
-    first ``i`` steps, q**i. No step's hazard exceeds p_step;
-    ``max_hazard`` bounds it with a margin for rounding, so that a uniform
-    at or above it cannot be a jump.
+    first ``i`` steps, q**i.
     """
 
-    __slots__ = ("record", "p_step", "max_hazard", "sqrt_survive",
-                 "survival")
+    __slots__ = ("record", "p_step", "sqrt_survive", "survival")
 
     def __init__(self, record: _Decay, dt: float, n_steps: int):
         self.record = record
         self.p_step = (-math.expm1(-record.total * dt) if record.total > 0
                        else 0.0)
-        self.max_hazard = self.p_step * (1.0 + 1e-9)
         self.sqrt_survive = math.sqrt(1.0 - self.p_step)
         self.survival = (1.0 - self.p_step) ** np.arange(n_steps + 1)
 
@@ -379,49 +376,45 @@ class _NoJumpTable:
     pair (populations and the transverse Bloch components, all scaled by
     the trace) every step is linear: the rotation about the instantaneous
     drive, the t2 factor on (X, Y), then the no-jump Kraus factor, which
-    keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). So for a
-    start vector v the jump hazard of step i is (num[i] . v) / (den[i] . v)
-    (the upper population after the rotation, times p_step, over the trace
-    before the step) and the end state is end @ v. The rotated upper
-    population never exceeds the trace, so no hazard exceeds p_step: a
-    segment whose draws all reach ``max_hazard`` of its decay is jump-free
-    without a hazard being formed. ``restart(i)`` is the start vector whose
-    no-jump evolution passes through the lower pole right after step i, so
-    a jump back into the pair at step i continues from it. The population
-    basis keeps the trace of a decaying upper level exact (no cancellation
-    between n and Z).
+    keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). The trace
+    of the state is the no-jump survival, so for a start vector v of unit
+    trace the survival after step i is ``trace[i] @ v``, the trace row of
+    the cumulative map, and the end state is the block's end map times v.
+    ``restart(i)`` is the start vector whose no-jump evolution passes
+    through the lower pole right after step i, so a jump back into the
+    pair at step i continues from it, with survival ``trace[j] @ v`` at
+    the later steps j. The population basis keeps the trace of a decaying
+    upper level exact (no cancellation between n and Z).
 
     The step grid is split into blocks of ``drive.block`` steps, the
     longest whose no-jump survival is at least ``_MIN_SURVIVAL``; a drive
     that is not lossy has one block. Each block's cumulative maps start
-    at the identity, so ``num``, ``den``, the restart vectors and the
-    block's end map (in ``spans`` the one that carries the state into the
-    next block, ``end`` the last) act on the state at the block's start,
-    and a restart never inverts a map of lower survival. The cumulative
-    maps come from a doubling scan within each block, ceil(log2 block)
-    batched products (Hillis & Steele, CACM 29, 1170, 1986). A one-block
-    table also holds the end states of the two pole starts, the readout's
-    common case, and once scanned their hazards.
+    at the identity, so ``trace``, the restart vectors and the block's
+    end map act on the state at the block's start, and a restart never
+    inverts a map of lower survival. ``spans`` holds (first step, stop,
+    end map, trace row of the end map) of each block. The cumulative maps
+    come from a doubling scan within each block, ceil(log2 block) batched
+    products (Hillis & Steele, CACM 29, 1170, 1986). A one-block table
+    also holds the end states and end survivals of the two pole starts,
+    the readout's common case.
 
     A table lives in its drive's one slot for as long as the shot
     ``offset`` (rad/s, subtracted from the detuning as in ``_free_map``)
     stays the same. At offset 0 that is for good, so the table scans when
     it is built, solves every restart vector at once and drops the
     cumulative maps. A per-shot offset serves only one shot's segments,
-    whose draws rarely come near a hazard, so its table keeps the maps and
-    solves a restart vector only when a jump needs one; and a one-block
-    per-shot table is built as its step maps and an end map from a
-    pairwise product tree, and defers the scan (``num``, ``den``, the pole
-    hazards and the cumulative maps) to the first segment whose draws do
-    not clear ``max_hazard``. Its ``end`` and ``pole_end`` are fixed when
-    it is built. ``pending`` holds what the scan needs until it has run;
-    the scan fills every map before it clears ``pending``, so a thread
-    that finds it cleared reads complete maps, and two threads that both
-    scan compute equal maps.
+    which rarely jump, so its table keeps the maps and solves a restart
+    vector only when a jump needs one; and a one-block per-shot table is
+    built as its step maps and an end map from a pairwise product tree,
+    and defers the scan (``trace`` and the cumulative maps) to the first
+    segment that jumps. Its spans are fixed when it is built. ``pending``
+    holds what the scan needs until it has run; the scan fills every map
+    before it clears ``pending``, so a thread that finds it cleared reads
+    complete maps, and two threads that both scan compute equal maps.
     """
 
-    __slots__ = ("num", "den", "end", "spans", "prefix", "restarts",
-                 "pole_hazard", "pole_end", "pending")
+    __slots__ = ("trace", "spans", "prefix", "restarts", "pole_survival",
+                 "pole_end", "pending")
 
     def __init__(self, plan, drive, offset: float = 0.0):
         n, block = plan.n_steps, drive.block
@@ -434,28 +427,31 @@ class _NoJumpTable:
         steps = _step_maps(drive.omega_peak * env,
                            detuning - drive.ac_shift * env * env, plan.dt,
                            weights)
-        self.num = self.den = self.prefix = self.restarts = None
-        self.pole_hazard = self.pole_end = None
-        self.pending = (steps, block, decay.p_step, offset)
+        self.trace = self.prefix = self.restarts = self.spans = None
+        self.pole_survival = self.pole_end = None
+        self.pending = (steps, block, decay.p_step > 0.0, offset)
         if offset != 0.0 and block == n:
-            self._set_end(_product(steps), ((0, n, None),))
+            self._set_spans([_product(steps)], n, n)
         else:
-            self.end = None
             self.scan()
 
-    def _set_end(self, end, spans):
-        self.end, self.spans = end, spans
-        if len(spans) == 1:
+    def _set_spans(self, ends, block, n):
+        self.spans = tuple(
+            (first, min(first + block, n), end, end[0] + end[1])
+            for first, end in zip(range(0, n, block), ends))
+        if len(ends) == 1:
             # pole starts: v = e_0 or e_1
+            end, survival = self.spans[0][2:]
             self.pole_end = (_bloch(end[:, 0]), _bloch(end[:, 1]))
+            self.pole_survival = (float(survival[0]), float(survival[1]))
 
     def scan(self):
-        """Tabulate the hazards and the cumulative maps; once done, a
-        no-op."""
+        """Tabulate the survival rows and the cumulative maps; once done,
+        a no-op."""
         pending = self.pending
         if pending is None:
             return
-        steps, block, p_step, offset = pending
+        steps, block, jumps, offset = pending
         n = len(steps)
         prefix = steps.copy()
         for first in range(0, n, block):
@@ -464,38 +460,18 @@ class _NoJumpTable:
             while k < len(part):
                 part[k:] = part[k:] @ part[:-k]
                 k *= 2
-        eye = np.eye(4)
-        before = np.concatenate([eye[None], prefix[:-1]])
-        before[block::block] = eye      # each block starts at the identity
-        den = before[:, 0] + before[:, 1]
-        # row 1 of a step is the rotated upper population times q
-        num = (p_step / (1.0 - p_step)) * np.einsum("ij,ijk->ik", steps[:, 1],
-                                                    before)
-        ends, end = prefix[block - 1::block], prefix[-1]
         if offset != 0.0:
             self.prefix = prefix
-        else:
-            if p_step > 0.0:
-                lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
-                self.restarts = np.linalg.solve(prefix, lower)[..., 0]
+        elif jumps:
+            lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
+            self.restarts = np.linalg.solve(prefix, lower)[..., 0]
+        if self.spans is None:
             # copies free the cumulative maps
-            ends, end = ends.copy(), end.copy()
-        self.num, self.den = num, den
-        if block == n:
-            self.pole_hazard = (num[:, 0] / den[:, 0], num[:, 1] / den[:, 1])
-        if self.end is None:
-            # (first step, stop, end map of the block before) of each block
-            self._set_end(end, tuple(
-                (first, min(first + block, n),
-                 ends[first // block - 1] if first else None)
-                for first in range(0, n, block)))
+            ends = [prefix[min(first + block, n) - 1].copy()
+                    for first in range(0, n, block)]
+            self._set_spans(ends, block, n)
+        self.trace = prefix[:, 0] + prefix[:, 1]
         self.pending = None
-
-    def hazard(self, v, start: int, stop: int) -> np.ndarray:
-        """Jump hazards of steps ``start:stop`` of a block from the start
-        vector ``v`` of that block (or the restart vector of the step
-        before ``start``)."""
-        return (self.num[start:stop] @ v) / (self.den[start:stop] @ v)
 
     def restart(self, i: int) -> np.ndarray:
         if self.restarts is not None:
@@ -503,7 +479,9 @@ class _NoJumpTable:
         return np.linalg.solve(self.prefix[i], _LOWER_POLE)
 
 
-_LOWER_POLE = np.array([1.0, 0.0, 0.0, 0.0])
+#: Start vectors of the lower and the upper pole.
+_POLES = np.eye(4)[:2]
+_LOWER_POLE = _POLES[0]
 
 def _rotation_map():
     """One no-jump step before its Kraus and t2 weights: a (4, 4) map on
@@ -685,13 +663,15 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       built for the shot offset of the segment that filled it; a segment
       under another offset replaces it. Without ``t2_star`` the offset is
       always 0, and one table serves every shot. A lossy drive's maps run
-      block by block. One uniform per step is drawn and compared with the
-      step's hazard, as a per-step Bloch loop would, so events, levels
-      and random stream match such a loop up to rounding. When every
-      draw is at least the largest hazard the segment can have, the
-      segment is jump-free and only its end map is applied; a per-shot
-      table scans its hazards and cumulative maps on the first segment
-      whose draws do not clear that bound.
+      block by block. One uniform is drawn per jump opportunity: the
+      segment, each further block, and each restart after a jump back
+      into the pair. The jump falls at the first step whose no-jump
+      survival drops below it, as in a per-step Bloch loop that keeps
+      the running product of its step survivals, so events, levels and
+      random stream match such a loop up to rounding. A uniform at most
+      the end survival leaves the segment jump-free, and only its end
+      map is applied; a per-shot table scans its survival rows and
+      cumulative maps on the first segment that jumps.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -746,12 +726,14 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     """Closed-form no-jump evolution of a coherence with the drive off.
 
     A rotation about z commutes with the amplitude-damping no-jump map.
-    After i no-jump steps the upper population is
-    rho_uu q**i / (rho_ll + rho_uu q**i), so the hazard of every step is
-    known at once; the end coherence is (x, y) rotated by the detuning
+    After i no-jump steps the survival is p_lower + p_upper q**i, so one
+    uniform u decides the segment: it is jump-free when u is at most the
+    end survival, and otherwise jumps at the first step whose survival
+    falls below u. The end coherence is (x, y) rotated by the detuning
     times the segment length and scaled by (sqrt(q) t2_decay)**n over the
-    same norm. A jump back to the lower level leaves the pole, which no
-    longer decays or precesses.
+    end survival. A jump back to the lower level leaves the pole, which no
+    longer decays or precesses; like every jump back into a pair, it
+    draws the uniform of a restart, although the pole can never use it.
     """
     lower, upper = state.pair
     decay = plan.decay_for(upper)
@@ -761,23 +743,23 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     events: list[JumpEvent] = []
     scale = plan.t2_decay ** n
     if decay.record.total > 0:
-        uniforms = rng.random(n)
+        u = rng.random()
         p_upper = 0.5 * (1.0 + z)
         p_lower = 1.0 - p_upper
-        # the hazards only fall from step 0's p_step * p_upper
-        i = (_first_hit(uniforms < _free_hazard(decay, p_upper))
-             if uniforms.min() < decay.max_hazard * p_upper else None)
-        if i is not None:
+        upper_end = p_upper * float(decay.survival[-1])
+        norm = p_lower + upper_end
+        if u > norm:
+            # the last survival is ``norm``, so some step falls below u
+            i = _first_hit(p_lower + p_upper * decay.survival[1:] < u)
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
                 return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
                                    rng, events)
+            rng.random()        # the restart's uniform, unused at the pole
             state.bloch = [0.0, 0.0, -1.0]
             state.time = t0 + plan.wall_time
             return events
-        upper_end = p_upper * float(decay.survival[-1])
-        norm = p_lower + upper_end
         scale *= decay.sqrt_survive ** n / norm
         z = (upper_end - p_lower) / norm
     detuning = (plan.frame - _pair_frequency(plan.sys, state.pair)
@@ -787,13 +769,6 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     state.bloch = [(x * c - y * s) * scale, (y * c + x * s) * scale, z]
     state.time = t0 + plan.wall_time
     return events
-
-
-def _free_hazard(decay: _StepDecay, p_upper: float) -> np.ndarray:
-    """Jump hazard of each step of a free segment that starts with upper
-    population ``p_upper``."""
-    weight = p_upper * decay.survival[:-1]
-    return decay.p_step * weight / (1.0 - p_upper + weight)
 
 
 def _first_hit(mask: np.ndarray) -> int | None:
@@ -811,57 +786,53 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
                table: _NoJumpTable, rng):
     """Driven no-jump evolution from a table of the drive's maps.
 
-    A segment whose draws all reach the decay's ``max_hazard`` is
-    jump-free: its end state is the end map's image of the start, and a
-    deferred table stays unscanned. Otherwise each start vector (a pole,
-    the entry coherence, or the restart vector after a jump back to the
-    lower level) costs two mat-vecs for the hazards of the remaining steps
-    of its block and one for the block's end state; a one-block table has
-    the pole starts' end states, and once scanned their hazards,
-    precomputed. A pole start on a scanned table compares its hazards at
-    once, which costs less than the minimum of the draws. At a block
-    boundary the state is carried by the block's end map and renormalised
-    to unit trace.
+    Each block, and each restart after a jump back into the lower level,
+    draws one uniform u, and its first jump falls at the first step whose
+    survival from its start vector drops below u. So it is jump-free when
+    u is at most the survival at the block's end: one compare for a pole
+    start on a one-block table, whose end survivals and end states are
+    precomputed, and otherwise one 4-term dot with the trace row of the
+    block's end map. Only a segment that jumps scans a deferred table and
+    searches its survival rows. At a block boundary the state is carried
+    by the block's end map and renormalised to unit trace.
     """
     decay = drive.decay
-    n, dt = plan.n_steps, plan.dt
     t0 = state.time
     events: list[JumpEvent] = []
     x, y, z = state.bloch
+    u = rng.random() if decay.record.total > 0 else None
     if (table.pole_end is not None and x == 0.0 and y == 0.0
             and (z == 1.0 or z == -1.0)):
-        v, end = None, table.pole_end[z > 0]
+        upper = int(z > 0)
+        if u is None or u <= table.pole_survival[upper]:
+            state.bloch = list(table.pole_end[upper])
+            state.time = t0 + plan.wall_time
+            return events
+        v = _POLES[upper]
     else:
         v = np.array([0.5 * (1.0 - z), 0.5 * (1.0 + z), x, y])
-    uniforms = rng.random(n) if decay.record.total > 0 else None
-    if uniforms is not None:
-        # a pole start on a scanned table skips the bound
-        if ((v is not None or table.pending is not None)
-                and uniforms.min() >= decay.max_hazard):
-            uniforms = None
-        else:
-            table.scan()
-    hazard = (table.pole_hazard[z > 0] if v is None and uniforms is not None
-              else None)
-    for start, stop, carry in table.spans:
-        if carry is not None:
+    for first, stop, end, end_survival in table.spans:
+        if first:
             v = carry @ v
             v /= v[0] + v[1]
-            hazard = None
-        while uniforms is not None and start < stop:
-            if hazard is None:
-                hazard = table.hazard(v, start, stop)
-            hit = _first_hit(uniforms[start:stop] < hazard)
-            if hit is None:
+            u = rng.random() if u is not None else None
+        start = first
+        while u is not None and u > end_survival @ v:
+            table.scan()
+            hit = _first_hit(table.trace[start:stop] @ v < u)
+            if hit is None:     # the end map and the rows round apart
                 break
             i = start + hit
-            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
+            state.level = decay.record.jump(t0 + (i + 0.5) * plan.dt, rng,
+                                            events)
             if state.level != drive.pair[0]:
-                state.time = t0 + (i + 1) * dt
-                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
-                                   rng, events)
-            v, hazard, start = table.restart(i), None, i + 1
-    state.bloch = list(end) if v is None else _bloch(table.end @ v)
+                state.time = t0 + (i + 1) * plan.dt
+                return _leave_pair(state, plan,
+                                   plan.wall_time - (i + 1) * plan.dt, rng,
+                                   events)
+            v, start, u = table.restart(i), i + 1, rng.random()
+        carry = end
+    state.bloch = _bloch(end @ v)
     state.time = t0 + plan.wall_time
     return events
 

@@ -3,8 +3,9 @@ analytic Jacobians, plus the line-shape models used by the analysis
 pipelines.
 
 The optimizer accepts steps only when the cost decreases, so the cost
-history is monotone by construction; convergence requires the gradient
-norm to drop below a scaled tolerance.
+history is monotone by construction; convergence requires the residual
+to be orthogonal to every column of the Jacobian, to a scale-free
+tolerance (MINPACK's gtol test).
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import numpy as np
 
 
 LAM0 = 1e-3         # damping of the first step
-GTOL = 1e-10        # relative gradient tolerance (see levenberg_marquardt)
+GTOL = 1e-8         # largest cosine between r and a column of J (see
+                    # levenberg_marquardt)
 XTOL = 1e-12        # relative step tolerance
 FD_STEP = 1e-7      # relative step of finite_difference
 
@@ -42,8 +44,11 @@ class FitResult:
 def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200) -> FitResult:
     """Minimize 0.5*||r(x)||^2 given residual_jac(x) -> (r, J).
 
-    Converged when ||J^T r|| < GTOL * max(1, cost), or when an accepted
-    step moves x by less than XTOL relative.
+    Converged when the largest cosine between r and a column of J is at
+    most GTOL (``_stationary``), or when an accepted step moves x by less
+    than XTOL relative. The cosine does not change when r or a parameter
+    is rescaled, so a minimum of any cost is recognised, also one where
+    the damping grows until no step is tried any more.
     """
     x = np.asarray(x0, dtype=float).copy()
     lam = LAM0
@@ -52,7 +57,7 @@ def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200) -> FitResult:
     history = [cost]
     grad = jac.T @ r
     n_iter = 0
-    converged = bool(np.linalg.norm(grad) < GTOL * max(1.0, cost))
+    converged = _stationary(jac, r, grad)
     while n_iter < max_iter and not converged:
         n_iter += 1
         jtj = jac.T @ jac
@@ -71,16 +76,26 @@ def levenberg_marquardt(residual_jac, x0, *, max_iter: int = 200) -> FitResult:
             grad = jac.T @ r
             history.append(cost)
             lam = max(lam / 3.0, 1e-14)
-            if np.linalg.norm(grad) < GTOL * max(1.0, cost) or rel_move < XTOL:
-                converged = True
+            converged = _stationary(jac, r, grad) or rel_move < XTOL
         else:
             lam *= 10.0
             if lam > 1e14:
                 break
     return FitResult(x=x, covariance=_covariance(jac, r), cost=cost,
                      cost_history=np.array(history),
-                     grad_norm=float(np.linalg.norm(jac.T @ r)),
+                     grad_norm=float(np.linalg.norm(grad)),
                      n_iter=n_iter, converged=converged)
+
+
+def _stationary(jac, r, grad) -> bool:
+    """max_j |J_j . r| / (||J_j|| ||r||) <= GTOL; a zero residual is
+    stationary, and a NaN one is not."""
+    r_norm = float(np.linalg.norm(r))
+    if r_norm == 0.0:
+        return True
+    cols = np.linalg.norm(jac, axis=0) * r_norm
+    cosine = np.abs(grad) / np.where(cols > 0.0, cols, 1.0)
+    return bool(cosine.max() <= GTOL)
 
 
 def _covariance(jac, r):

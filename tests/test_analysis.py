@@ -152,6 +152,22 @@ def test_readout_threshold_unimodal():
     assert res.unimodal and res.fidelity is None
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_readout_threshold_of_a_clear_small_sample(seed):
+    """100 rounded counts, half from N(-40, 22) and half from N(42, 20):
+    the two-Gaussian fit stops at a minimum of cost 10 to 100, where the
+    gradient norm is ~1e-8. The fit counts as converged and the threshold
+    is kept, between the two modes."""
+    rng = np.random.default_rng(seed)
+    samples = np.round(np.concatenate([rng.normal(-40.0, 22.0, 50),
+                                       rng.normal(42.0, 20.0, 50)]))
+    res = analysis.readout_threshold(samples)
+    assert res.fit.converged
+    assert res.threshold is not None
+    (c1, _, _), (c2, _, _) = res.modes
+    assert c1 < res.threshold < c2
+
+
 def test_readout_model_roundtrip_fit():
     truth = analysis.ReadoutModel(epsilon=0.18, gamma_dc=150.0, t_d=2.6e-3,
                                   p0=0.97, eta=3.2e-4)

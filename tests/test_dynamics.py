@@ -354,14 +354,20 @@ def fast_system():
     return build_system(p, CavityParams.from_hz(7.334e9, 640e3, 45e3))
 
 
-def _step_loop(state, plan, drive, rng):
+def _step_loop(state, plan, drive, rng, per_step=False):
     """Per-step propagation of the coherence; the reference for the maps.
 
     Each step rotates the Bloch vector about the instantaneous drive
-    (Rodrigues), applies the t2 factor, and compares one pre-drawn
-    uniform with the step's jump hazard; without a jump the conditional
-    no-jump map of amplitude damping renormalises the state, so jump
-    timing from a partially excited state stays exact.
+    (Rodrigues), applies the t2 factor, and multiplies the running no-jump
+    survival by one minus the step's jump hazard; without a jump the
+    conditional no-jump map of amplitude damping renormalises the state,
+    so jump timing from a partially excited state stays exact. One
+    uniform is drawn at the start, at the first step of each further
+    block of ``drive.block`` steps and after each jump back to the lower
+    level, and the jump falls at the first step whose running survival
+    drops below it. With ``per_step`` the loop follows the older rule
+    instead: one pre-drawn uniform per step, compared with that step's
+    hazard; it draws a different stream of the same law.
     """
     lower = state.pair[0]
     decay, trans_freq = drive.decay, drive.trans.frequency
@@ -370,7 +376,12 @@ def _step_loop(state, plan, drive, rng):
     n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
     t2_decay = plan.t2_decay
     frame = plan.frame
-    uniforms = rng.random(n_steps) if decay.record.total > 0 else None
+    jumps = decay.record.total > 0
+    if per_step:
+        uniforms = rng.random(n_steps) if jumps else None
+    else:
+        u = rng.random() if jumps else None
+        survival = 1.0
     x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
                float(state.bloch[2]))
     detuning = (frame - trans_freq - state.shot_offset
@@ -378,6 +389,8 @@ def _step_loop(state, plan, drive, rng):
     t0 = state.time
     events = []
     for i in range(n_steps):
+        if jumps and not per_step and i and i % drive.block == 0:
+            u, survival = rng.random(), 1.0
         env_i = envelope[i]
         wx, wy = omega_peak * env_i, 0.0
         # AC-Zeeman shift follows the instantaneous drive power
@@ -397,16 +410,23 @@ def _step_loop(state, plan, drive, rng):
         x *= t2_decay
         y *= t2_decay
         state.time = t0 + (i + 1) * dt
-        if uniforms is None:
+        if not jumps:
             continue
         p_upper = 0.5 * (1.0 + z)
-        if uniforms[i] < p_upper * p_step:
+        if per_step:
+            jumped = uniforms[i] < p_upper * p_step
+        else:
+            survival *= 1.0 - p_upper * p_step
+            jumped = survival < u
+        if jumped:
             state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 return dyn._leave_pair(state, plan,
                                        plan.wall_time - (i + 1) * dt, rng,
                                        events)
             x, y, z = 0.0, 0.0, -1.0
+            if not per_step:
+                u, survival = rng.random(), 1.0
         else:
             norm = 1.0 - p_upper * p_step
             x *= sqrt_survive / norm
@@ -416,17 +436,20 @@ def _step_loop(state, plan, drive, rng):
     return events
 
 
-def _via_step_loop(state, seg, sys, rng, noise):
+def _via_step_loop(state, seg, sys, rng, noise, per_step=False):
     """``apply_pulse`` through the per-step loop; an undriven segment runs
-    it with a zero drive on the carried pair."""
+    it with a zero drive on the carried pair, and one without a coherence
+    runs in the engine's population mode."""
     plan = dyn._pulse_plan(seg, sys, noise)
     drive = dyn._enter(state, plan, rng)
+    if state.pair is None or state.bloch is None:
+        return dyn._relax(state, plan, plan.wall_time, rng)
     if drive is None:
         drive = SimpleNamespace(
             omega_peak=0.0, ac_shift=0.0, decay=plan.decay_for(state.pair[1]),
-            trans=SimpleNamespace(
+            block=plan.n_steps, trans=SimpleNamespace(
                 frequency=dyn._pair_frequency(sys, state.pair)))
-    return _step_loop(state, plan, drive, rng)
+    return _step_loop(state, plan, drive, rng, per_step)
 
 
 def _assert_same_shot(state, events, rng, ref, ref_events, ref_rng):
@@ -526,28 +549,36 @@ def test_no_jump_maps_match_step_loop(system, fast_system, fast, kind,
         _assert_same_shot(state, events, rng, ref, ref_events, ref_rng)
 
 
+def _assert_survival(rows, end):
+    """A survival curve lies in [0, 1], never rises by more than 1e-12
+    from one step to the next, and ends at ``end``, all within 1e-12: a
+    restart's own row is 1 up to the rounding of its solve."""
+    assert rows.min() >= -1e-12 and rows.max() <= 1.0 + 1e-12
+    assert np.diff(rows).max(initial=0.0) <= 1e-12
+    assert abs(rows[-1] - end) <= 1e-12
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(**_MAP_CASES)
-def test_hazards_stay_below_their_bound(system, fast_system, fast, kind,
-                                        offset_hz, pulse_len, free_len,
-                                        rotation, t2, start, shot_hz, framed,
-                                        seed):
-    """The jump-free test of a segment rests on a bound: no hazard of a
-    table exceeds ``max_hazard`` (p_step with a margin for rounding), from
-    either pole, the drawn start carried from block to block, or any
-    restart vector; and a free segment's hazards never rise above their
-    step-0 value, p_step * p_upper."""
+def test_survival_rows_fall_from_one(system, fast_system, fast, kind,
+                                     offset_hz, pulse_len, free_len,
+                                     rotation, t2, start, shot_hz, framed,
+                                     seed):
+    """The one-uniform rule rests on the survival curves: from either
+    pole, the drawn start carried from block to block, or any restart
+    vector, a table's survival rows are a non-increasing curve in [0, 1]
+    that ends at the trace of the block's end map, and so is the free
+    map's closed form p_lower + p_upper q**i."""
     sys, seg, noise, plan, state, drive = _map_case(
         system, fast_system, fast, kind, offset_hz, pulse_len, free_len,
         rotation, t2, start, framed)
     if drive is None:
         decay = plan.decay_for(state.pair[1])
         p_upper = 0.5 * (1.0 + state.bloch[2])
-        hazard = dyn._free_hazard(decay, p_upper)
-        assert hazard.max() <= decay.max_hazard * p_upper
-        assert hazard.max() <= hazard[0] * (1.0 + 1e-9)
+        rows = (1.0 - p_upper) + p_upper * decay.survival
+        _assert_survival(rows, (1.0 - p_upper)
+                         + p_upper * float(decay.survival[-1]))
         return
-    bound = drive.decay.max_hazard
     starts = [np.eye(4)[0], np.eye(4)[1]]
     if state.bloch is not None:
         x, y, z = state.bloch
@@ -556,17 +587,21 @@ def test_hazards_stay_below_their_bound(system, fast_system, fast, kind,
         table = dyn._NoJumpTable(plan, drive, offset)
         table.scan()
         for v in starts:
-            for first, stop, carry in table.spans:
-                if carry is not None:
+            for first, stop, end, end_survival in table.spans:
+                if first:
                     v = carry @ v
                     v = v / (v[0] + v[1])
-                assert table.hazard(v, first, stop).max() <= bound
-        for first, stop, _ in table.spans:
-            for i in range(first, stop - 1):
-                assert table.hazard(table.restart(i), i + 1,
-                                    stop).max() <= bound
-        if table.pole_hazard is not None:
-            assert max(h.max() for h in table.pole_hazard) <= bound
+                _assert_survival(table.trace[first:stop] @ v,
+                                 end_survival @ v)
+                carry = end
+        for first, stop, end, end_survival in table.spans:
+            for i in range(first, stop):
+                v = table.restart(i)
+                rows = table.trace[i:stop] @ v
+                assert abs(rows[0] - 1.0) <= 1e-12
+                _assert_survival(rows, end_survival @ v)
+        if table.pole_survival is not None:
+            assert table.pole_survival == tuple(table.spans[0][3][:2])
 
 
 def test_window_photons_lie_inside_the_window(system):
@@ -683,33 +718,44 @@ def _assert_same_shots(shots, ref_shots):
 
 
 @pytest.mark.parametrize("g0_hz, shots", [(4.5e3, 60), (45e3, 20)])
-def test_shot_table_scans_only_near_a_hazard(monkeypatch, g0_hz, shots):
-    """A per-shot table defers its scan until a segment's draws come near
-    a hazard: on the slow system few Ramsey tables scan, on the fast one
-    some do. The scan leaves the end maps the table was built with, so
-    scanning every table at once gives the same shots."""
+def test_shot_table_scans_only_when_a_segment_jumps(monkeypatch, g0_hz,
+                                                    shots):
+    """A per-shot table defers its scan until one of its segments jumps:
+    the tables that scan are exactly those with a jumping segment, few on
+    the slow system and some on the fast one. The scan leaves the spans
+    the table was built with, so scanning every table at once gives the
+    same shots."""
     p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
     cavity = CavityParams.from_hz(7.334e9, 640e3, g0_hz)
     noise = NoiseModel(t2_star=100e-6)
-    built, scanned = [], []
+    built, scanned, jumped = [], set(), set()
     init, scan = dyn._NoJumpTable.__init__, dyn._NoJumpTable.scan
+    table_map = dyn._table_map
 
     def counted_init(table, *args):
         built.append(table)
         init(table, *args)
 
     def counted_scan(table):
-        before = table.end, table.pole_end
+        before = table.spans, table.pole_end, table.pole_survival
         if table.pending is not None:
-            scanned.append(table)
+            scanned.add(id(table))
         scan(table)
-        if before[0] is not None:
-            assert table.end is before[0] and table.pole_end is before[1]
+        assert all(a is b for a, b in zip(
+            before, (table.spans, table.pole_end, table.pole_survival)))
+
+    def counted_map(state, plan, drive, table, rng):
+        events = table_map(state, plan, drive, table, rng)
+        if events:
+            jumped.add(id(table))
+        return events
 
     monkeypatch.setattr(dyn._NoJumpTable, "__init__", counted_init)
     monkeypatch.setattr(dyn._NoJumpTable, "scan", counted_scan)
+    monkeypatch.setattr(dyn, "_table_map", counted_map)
     deferred = _ramsey_shots(build_system(p, cavity), shots, noise)
     assert len(built) == shots
+    assert scanned == jumped
     if g0_hz < 10e3:
         assert len(scanned) < len(built) / 4
     else:
@@ -841,3 +887,72 @@ def test_lossy_drive_keeps_step_loop_precision(fast_system):
             at_block_end += sum((k + 1) % block == 0 and k + 1 < plan.n_steps
                                 for k in steps)
     assert at_block_end > 0
+
+
+def _jump_record(schedule, sys, shots_events):
+    """Per shot: the number of jumps, and the step of the first one on
+    the schedule's concatenated step grids (None without a jump)."""
+    grids = [dyn._time_steps(seg, sys) for seg in schedule]
+    starts = np.cumsum([0.0] + [seg.wall_time for seg in schedule])
+    offsets = np.cumsum([0] + [n for n, _ in grids])
+    counts, first = [], []
+    for per_seg in shots_events:
+        counts.append(sum(len(events) for events in per_seg))
+        step = None
+        for k, events in enumerate(per_seg):
+            if events:
+                dt = grids[k][1]
+                step = int(offsets[k] + (events[0].time - starts[k]) // dt)
+                break
+        first.append(step)
+    return np.array(counts, dtype=float), first
+
+
+def _chi2_pvalue(a, b):
+    """Two-sample chi-squared test of two lists of first-jump steps, on
+    runs of adjacent steps merged until each run holds at least 10 of the
+    pooled jumps."""
+    steps = sorted(set(a) | set(b))
+    ca = np.array([a.count(s) for s in steps])
+    cb = np.array([b.count(s) for s in steps])
+    rows, acc = [], np.zeros(2, dtype=int)
+    for x, y in zip(ca, cb):
+        acc += (x, y)
+        if acc.sum() >= 10:
+            rows.append(acc)
+            acc = np.zeros(2, dtype=int)
+    if rows and acc.sum():
+        rows[-1] = rows[-1] + acc
+    if len(rows) < 2:
+        return 1.0
+    return stats.chi2_contingency(np.array(rows).T).pvalue
+
+
+@pytest.mark.parametrize("name", ["pi", "half_pi", "pi_15khz_off",
+                                  "half_pi_wait", "pi_fast"])
+def test_one_uniform_per_jump_matches_per_step_draws(name):
+    """The engine's one uniform per jump opportunity against the older
+    rule of one uniform per step (the step loop's ``per_step`` mode), on
+    the oracle's cases at 4,000 shots each: the jump probability and the
+    mean jump count agree within 4 sigma, and a chi-squared test on the
+    first jump's step gives p > 1e-3."""
+    from test_oracle import CASES, engine_run
+    sys, schedule, level, seed = CASES[name]
+    engine_events = engine_run(name)[1]
+    ref_events = []
+    for shot in range(len(engine_events)):
+        rng = trajectory_rng(seed + 1000, shot)
+        state = SystemState(level=level)
+        ref_events.append([_via_step_loop(state, seg, sys, rng, NO_NOISE,
+                                          per_step=True)
+                           for seg in schedule])
+    n = len(engine_events)
+    counts, first = _jump_record(schedule, sys, engine_events)
+    ref_counts, ref_first = _jump_record(schedule, sys, ref_events)
+    jumped = np.array([s is not None for s in first], dtype=float)
+    ref_jumped = np.array([s is not None for s in ref_first], dtype=float)
+    for x, y in ((jumped, ref_jumped), (counts, ref_counts)):
+        sigma = math.sqrt((x.var() + y.var()) / n) + 1.0 / n
+        assert abs(x.mean() - y.mean()) < 4.0 * sigma
+    assert _chi2_pvalue([s for s in first if s is not None],
+                        [s for s in ref_first if s is not None]) > 1e-3

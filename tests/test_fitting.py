@@ -92,3 +92,19 @@ def test_gradient_convergence_flag():
     res = fitting.curve_fit(fitting.multi_lorentzian, x, y,
                             np.array([-2e3, 12e3, 1.0, 0.0]))
     assert res.converged and res.cost < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_convergence_does_not_depend_on_the_scale_of_the_data(scale):
+    """A noisy two-Gaussian fit stops at the same minimum whatever the
+    unit of y: the stationarity test compares the gradient with the
+    residual and the Jacobian, not with a fixed 1e-10 * max(1, cost)."""
+    rng = np.random.default_rng(0)
+    x = np.linspace(-100.0, 100.0, 21)
+    y, _ = fitting.double_gaussian(
+        x, np.array([-40.0, 22.0, 6.0, 42.0, 20.0, 6.0]))
+    y = (y + rng.normal(0.0, 1.5, x.size)) * scale
+    p0 = np.array([-30.0, 15.0, 5.0 * scale, 30.0, 15.0, 5.0 * scale])
+    res = fitting.curve_fit(fitting.double_gaussian, x, y, p0)
+    assert res.converged
+    assert res.cost > 1.0 * scale ** 2
