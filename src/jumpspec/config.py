@@ -91,14 +91,20 @@ def _system(node, path) -> SpinParams:
     for i, c in enumerate(node.get("couplings", [])):
         cp = f"{path}.couplings[{i}]"
         couplings.append((_quantity(c, "a", cp), _quantity(c, "b", cp)))
-    return SpinParams.from_hz(omega_s, omega_i, couplings)
+    try:
+        return SpinParams.from_hz(omega_s, omega_i, couplings)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _cavity(node, path) -> CavityParams:
-    return CavityParams.from_hz(
-        _quantity(node, "frequency", path),
-        _quantity(node, "kappa", path),
-        _quantity(node, "g0", path))
+    frequency = _quantity(node, "frequency", path)
+    kappa = _quantity(node, "kappa", path)
+    g0 = _quantity(node, "g0", path)
+    try:
+        return CavityParams.from_hz(frequency, kappa, g0)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
 
 
 def _detector(node, path) -> DetectorParams:

@@ -22,8 +22,9 @@ inverse CDF (Gillespie, J. Phys. Chem. 81, 2340, 1977). A per-step Bloch
 loop that keeps the running product of its step survivals makes the
 same draws, so such a loop is their reference in the tests. A segment
 whose uniform is at most its end survival is jump-free, which costs one
-compare, and a per-shot table leaves its survival rows and cumulative
-maps unscanned until a segment jumps.
+compare, so every table is built one way, whatever its shot offset: its
+end maps when it is built, its survival rows, cumulative maps and restart
+vectors in one scan when its first segment jumps.
 
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
@@ -97,6 +98,11 @@ class PulseSegment:
     def __post_init__(self):
         if self.kind not in PULSE_KINDS:
             raise ValueError(f"unknown segment kind {self.kind!r}")
+        for name in ("frequency", "amplitude", "duration", "edge",
+                     "rotation"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"segment {name} must be finite")
         if self.duration < 0 or (self.duration == 0 and self.driven):
             raise ValueError("segment duration must be positive")
         if self.amplitude is not None and self.amplitude < 0:
@@ -370,7 +376,7 @@ class _LevelDrive:
 
 
 class _NoJumpTable:
-    """Cumulative no-jump maps of one drive over a plan's step grid.
+    """No-jump maps of one drive over a plan's step grid.
 
     On the unnormalised state v = (rho_ll, rho_uu, X, Y) of the driven
     pair (populations and the transverse Bloch components, all scaled by
@@ -380,7 +386,7 @@ class _NoJumpTable:
     of the state is the no-jump survival, so for a start vector v of unit
     trace the survival after step i is ``trace[i] @ v``, the trace row of
     the cumulative map, and the end state is the block's end map times v.
-    ``restart(i)`` is the start vector whose no-jump evolution passes
+    ``restarts[i]`` is the start vector whose no-jump evolution passes
     through the lower pole right after step i, so a jump back into the
     pair at step i continues from it, with survival ``trace[j] @ v`` at
     the later steps j. The population basis keeps the trace of a decaying
@@ -388,33 +394,30 @@ class _NoJumpTable:
 
     The step grid is split into blocks of ``drive.block`` steps, the
     longest whose no-jump survival is at least ``_MIN_SURVIVAL``; a drive
-    that is not lossy has one block. Each block's cumulative maps start
-    at the identity, so ``trace``, the restart vectors and the block's
-    end map act on the state at the block's start, and a restart never
-    inverts a map of lower survival. ``spans`` holds (first step, stop,
-    end map, trace row of the end map) of each block. The cumulative maps
-    come from a doubling scan within each block, ceil(log2 block) batched
-    products (Hillis & Steele, CACM 29, 1170, 1986). A one-block table
-    also holds the end states and end survivals of the two pole starts,
-    the readout's common case.
+    that is not lossy has one block. Each block's maps start at the
+    identity, so ``trace``, the restart vectors and the block's end map
+    act on the state at the block's start, and a restart never inverts a
+    map of lower survival.
 
-    A table lives in its drive's one slot for as long as the shot
-    ``offset`` (rad/s, subtracted from the detuning as in ``_free_map``)
-    stays the same. At offset 0 that is for good, so the table scans when
-    it is built, solves every restart vector at once and drops the
-    cumulative maps. A per-shot offset serves only one shot's segments,
-    which rarely jump, so its table keeps the maps and solves a restart
-    vector only when a jump needs one; and a one-block per-shot table is
-    built as its step maps and an end map from a pairwise product tree,
-    and defers the scan (``trace`` and the cumulative maps) to the first
-    segment that jumps. Its spans are fixed when it is built. ``pending``
-    holds what the scan needs until it has run; the scan fills every map
-    before it clears ``pending``, so a thread that finds it cleared reads
-    complete maps, and two threads that both scan compute equal maps.
+    Every table is built one way, whatever its shot ``offset`` (rad/s,
+    subtracted from the detuning as in ``_free_map``) and block count,
+    since a segment whose uniform is at most its end survival needs only
+    its end map. A table holds its step maps; ``spans``, the (first step,
+    stop, end map, trace row of the end map) of each block, the end map a
+    pairwise product of the block's step maps; and the end states and end
+    survivals of the two pole starts over the first block, which are the
+    segment's on a one-block table, the readout's common case. The first
+    segment that jumps calls ``scan``: each block's cumulative maps by a
+    doubling scan, ceil(log2 block) batched products (Hillis & Steele,
+    CACM 29, 1170, 1986), their ``trace`` rows and every restart vector in
+    one batched solve; the spans stay as built. The scan fills these
+    before it drops the step maps, so a thread that finds them dropped
+    reads complete maps, and two threads that both scan compute equal
+    maps.
     """
 
-    __slots__ = ("trace", "spans", "prefix", "restarts", "pole_survival",
-                 "pole_end", "pending")
+    __slots__ = ("steps", "spans", "trace", "restarts", "pole_survival",
+                 "pole_end")
 
     def __init__(self, plan, drive, offset: float = 0.0):
         n, block = plan.n_steps, drive.block
@@ -427,56 +430,36 @@ class _NoJumpTable:
         steps = _step_maps(drive.omega_peak * env,
                            detuning - drive.ac_shift * env * env, plan.dt,
                            weights)
-        self.trace = self.prefix = self.restarts = self.spans = None
-        self.pole_survival = self.pole_end = None
-        self.pending = (steps, block, decay.p_step > 0.0, offset)
-        if offset != 0.0 and block == n:
-            self._set_spans([_product(steps)], n, n)
-        else:
-            self.scan()
-
-    def _set_spans(self, ends, block, n):
+        self.steps = steps
+        self.trace = self.restarts = None
+        ends = [_product(steps[first:first + block])
+                for first in range(0, n, block)]
         self.spans = tuple(
             (first, min(first + block, n), end, end[0] + end[1])
             for first, end in zip(range(0, n, block), ends))
-        if len(ends) == 1:
-            # pole starts: v = e_0 or e_1
-            end, survival = self.spans[0][2:]
-            self.pole_end = (_bloch(end[:, 0]), _bloch(end[:, 1]))
-            self.pole_survival = (float(survival[0]), float(survival[1]))
+        # pole starts: v = e_0 or e_1
+        end, survival = self.spans[0][2:]
+        self.pole_end = (_bloch(end[:, 0]), _bloch(end[:, 1]))
+        self.pole_survival = (float(survival[0]), float(survival[1]))
 
     def scan(self):
-        """Tabulate the survival rows and the cumulative maps; once done,
-        a no-op."""
-        pending = self.pending
-        if pending is None:
+        """Tabulate the survival rows, the cumulative maps and the restart
+        vectors; once done, a no-op."""
+        steps = self.steps
+        if steps is None:
             return
-        steps, block, jumps, offset = pending
         n = len(steps)
         prefix = steps.copy()
-        for first in range(0, n, block):
-            part = prefix[first:first + block]
+        for first, stop, _, _ in self.spans:
+            part = prefix[first:stop]
             k = 1
             while k < len(part):
                 part[k:] = part[k:] @ part[:-k]
                 k *= 2
-        if offset != 0.0:
-            self.prefix = prefix
-        elif jumps:
-            lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
-            self.restarts = np.linalg.solve(prefix, lower)[..., 0]
-        if self.spans is None:
-            # copies free the cumulative maps
-            ends = [prefix[min(first + block, n) - 1].copy()
-                    for first in range(0, n, block)]
-            self._set_spans(ends, block, n)
+        lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
+        self.restarts = np.linalg.solve(prefix, lower)[..., 0]
         self.trace = prefix[:, 0] + prefix[:, 1]
-        self.pending = None
-
-    def restart(self, i: int) -> np.ndarray:
-        if self.restarts is not None:
-            return self.restarts[i]
-        return np.linalg.solve(self.prefix[i], _LOWER_POLE)
+        self.steps = None
 
 
 #: Start vectors of the lower and the upper pole.
@@ -670,8 +653,9 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       the running product of its step survivals, so events, levels and
       random stream match such a loop up to rounding. A uniform at most
       the end survival leaves the segment jump-free, and only its end
-      map is applied; a per-shot table scans its survival rows and
-      cumulative maps on the first segment that jumps.
+      map is applied; every table, at any offset, scans its survival
+      rows, cumulative maps and restart vectors on the first segment
+      that jumps.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -792,16 +776,17 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
     u is at most the survival at the block's end: one compare for a pole
     start on a one-block table, whose end survivals and end states are
     precomputed, and otherwise one 4-term dot with the trace row of the
-    block's end map. Only a segment that jumps scans a deferred table and
-    searches its survival rows. At a block boundary the state is carried
-    by the block's end map and renormalised to unit trace.
+    block's end map. Only a segment that jumps scans the table (once:
+    later calls are no-ops), searches its survival rows and restarts from
+    ``table.restarts``. At a block boundary the state is carried by the
+    block's end map and renormalised to unit trace.
     """
     decay = drive.decay
     t0 = state.time
     events: list[JumpEvent] = []
     x, y, z = state.bloch
     u = rng.random() if decay.record.total > 0 else None
-    if (table.pole_end is not None and x == 0.0 and y == 0.0
+    if (len(table.spans) == 1 and x == 0.0 and y == 0.0
             and (z == 1.0 or z == -1.0)):
         upper = int(z > 0)
         if u is None or u <= table.pole_survival[upper]:
@@ -830,7 +815,7 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
                 return _leave_pair(state, plan,
                                    plan.wall_time - (i + 1) * plan.dt, rng,
                                    events)
-            v, start, u = table.restart(i), i + 1, rng.random()
+            v, start, u = table.restarts[i], i + 1, rng.random()
         carry = end
     state.bloch = _bloch(end @ v)
     state.time = t0 + plan.wall_time

@@ -79,6 +79,9 @@ class CavityParams:
     g0: float
 
     def __post_init__(self):
+        for name in ("omega_0", "kappa", "g0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"cavity {name} must be finite")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
         if self.g0 < 0:
@@ -395,19 +398,6 @@ def ac_zeeman_frequencies(p: SpinParams, omega_drive: float):
         raise ValueError("drive past the AC-Zeeman saddle-node")
     x = float(min(inside, key=abs))
     return d0_d - x, d0_z + x
-
-
-def ac_zeeman_residual(p: SpinParams, omega_drive: float,
-                       delta: float, branch: str) -> float:
-    """Residual of the defining self-consistent equation at ``delta``;
-    ``branch`` is "zero_quantum" or "double_quantum" (else KeyError)."""
-    w_p, w_m, _, _ = nuclear_manifold_frequencies(p)
-    d0_d, d0_z = forbidden_frequencies(p)
-    d0, sign = {"zero_quantum": (d0_z, +1.0),
-                "double_quantum": (d0_d, -1.0)}[branch]
-    shift = (omega_drive ** 2 / 4.0) * (
-        1.0 / (w_p - sign * (delta - d0)) + 1.0 / (w_m - sign * (delta - d0)))
-    return delta - (d0 + sign * shift)
 
 
 def forbidden_rabi(omega_drive: float, p: SpinParams, c: CavityParams,

@@ -11,6 +11,8 @@ from jumpspec.cli import PROTOCOLS, main
 from jumpspec.config import (ConfigError, load_config, parse_config,
                              parse_quantity)
 
+SHIPPED_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 MINIMAL = """
 seed: 3
 output: {out}
@@ -102,6 +104,27 @@ def test_run_invalid_config_machine_readable_error(tmp_path):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert "seed" in err["path"]
+
+
+@pytest.mark.parametrize("path,field,bad", [
+    ("cavity", "kappa: 640 kHz", "kappa: .nan"),
+    ("system", "omega_i: -788.1 kHz", "omega_i: .inf"),
+])
+def test_run_rejects_non_finite_parameters(tmp_path, path, field, bad):
+    """A NaN kappa or an infinite omega_i in the readout config fails as
+    a config error that names its section, instead of a run that writes
+    NaN estimates into its JSON summaries."""
+    text = (SHIPPED_DIR / "readout.yaml").read_text()
+    assert field in text
+    cfg_file = tmp_path / "readout.yaml"
+    cfg_file.write_text(text.replace(field, bad)
+                        .replace("results/readout", str(tmp_path / "out")))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 1
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["path"] == path
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_unknown_protocol_leaves_no_partial_outputs(tmp_path):
@@ -214,8 +237,7 @@ def test_rabi_default_grid_runs(tmp_path):
     assert len(rows) == 1 + 21
 
 
-SHIPPED = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
-    "*.yaml"))
+SHIPPED = sorted(SHIPPED_DIR.glob("*.yaml"))
 
 
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.stem)

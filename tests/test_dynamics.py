@@ -312,6 +312,20 @@ def test_noise_model_rejects_invalid_times(system, field):
                                noise).t2_decay == 1.0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["frequency", "amplitude", "duration",
+                                   "edge", "rotation"])
+def test_segment_rejects_non_finite_fields(field, bad):
+    """A NaN or infinite pulse field fails when the segment is built,
+    not as a NaN Bloch vector or an overflow deep inside a segment."""
+    fields = dict(kind="flattop", frequency=TWO_PI * 7.334e9,
+                  amplitude=TWO_PI * 100e3, duration=80e-6, edge=10e-6,
+                  rotation=math.pi)
+    PulseSegment(**fields)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PulseSegment(**{**fields, field: bad})
+
+
 def test_drive_rejects_t2_below_its_step(fast_system):
     """A t2 whose decay factor over one drive step underflows to 0 leaves
     the no-jump maps singular: the plan fails loudly, while a free
@@ -596,7 +610,7 @@ def test_survival_rows_fall_from_one(system, fast_system, fast, kind,
                 carry = end
         for first, stop, end, end_survival in table.spans:
             for i in range(first, stop):
-                v = table.restart(i)
+                v = table.restarts[i]
                 rows = table.trace[i:stop] @ v
                 assert abs(rows[0] - 1.0) <= 1e-12
                 _assert_survival(rows, end_survival @ v)
@@ -717,17 +731,20 @@ def _assert_same_shots(shots, ref_shots):
             np.testing.assert_allclose(bloch, ref[2], rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("g0_hz, shots", [(4.5e3, 60), (45e3, 20)])
+@pytest.mark.parametrize("g0_hz, shots, t2_star", [
+    (4.5e3, 60, 100e-6), (45e3, 20, 100e-6), (4.5e3, 20, None)],
+    ids=["4500.0-60", "45000.0-20", "4500.0-20-offset_0"])
 def test_shot_table_scans_only_when_a_segment_jumps(monkeypatch, g0_hz,
-                                                    shots):
-    """A per-shot table defers its scan until one of its segments jumps:
-    the tables that scan are exactly those with a jumping segment, few on
-    the slow system and some on the fast one. The scan leaves the spans
-    the table was built with, so scanning every table at once gives the
-    same shots."""
+                                                    shots, t2_star):
+    """A table defers its scan until one of its segments jumps: the
+    tables that scan are exactly those with a jumping segment, few of the
+    per-shot tables on the slow system and some on the fast one, and
+    none of the one offset-0 table that noise-free shots share on the
+    slow system. The scan leaves the spans the table was built with, so
+    scanning every table at once gives the same shots."""
     p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
     cavity = CavityParams.from_hz(7.334e9, 640e3, g0_hz)
-    noise = NoiseModel(t2_star=100e-6)
+    noise = NoiseModel(t2_star=t2_star)
     built, scanned, jumped = [], set(), set()
     init, scan = dyn._NoJumpTable.__init__, dyn._NoJumpTable.scan
     table_map = dyn._table_map
@@ -738,7 +755,7 @@ def test_shot_table_scans_only_when_a_segment_jumps(monkeypatch, g0_hz,
 
     def counted_scan(table):
         before = table.spans, table.pole_end, table.pole_survival
-        if table.pending is not None:
+        if table.steps is not None:
             scanned.add(id(table))
         scan(table)
         assert all(a is b for a, b in zip(
@@ -754,7 +771,7 @@ def test_shot_table_scans_only_when_a_segment_jumps(monkeypatch, g0_hz,
     monkeypatch.setattr(dyn._NoJumpTable, "scan", counted_scan)
     monkeypatch.setattr(dyn, "_table_map", counted_map)
     deferred = _ramsey_shots(build_system(p, cavity), shots, noise)
-    assert len(built) == shots
+    assert len(built) == (shots if t2_star else 1)
     assert scanned == jumped
     if g0_hz < 10e3:
         assert len(scanned) < len(built) / 4

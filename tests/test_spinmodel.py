@@ -10,14 +10,27 @@ from hypothesis import strategies as st
 
 from jumpspec.spinmodel import (CavityParams, DegenerateTransitionError,
                                 SpinParams, ac_zeeman_frequencies,
-                                ac_zeeman_residual, build_system,
-                                cavity_filter, closed_form_transitions,
+                                build_system, cavity_filter,
+                                closed_form_transitions,
                                 drive_filter,
                                 forbidden_frequencies, forbidden_rabi,
                                 hamiltonian, nuclear_manifold_frequencies,
                                 purcell_rate)
 
 TWO_PI = 2.0 * math.pi
+
+
+def ac_zeeman_residual(p: SpinParams, omega_drive: float,
+                       delta: float, branch: str) -> float:
+    """Residual of the defining self-consistent equation at ``delta``;
+    ``branch`` is "zero_quantum" or "double_quantum" (else KeyError)."""
+    w_p, w_m, _, _ = nuclear_manifold_frequencies(p)
+    d0_d, d0_z = forbidden_frequencies(p)
+    d0, sign = {"zero_quantum": (d0_z, +1.0),
+                "double_quantum": (d0_d, -1.0)}[branch]
+    shift = (omega_drive ** 2 / 4.0) * (
+        1.0 / (w_p - sign * (delta - d0)) + 1.0 / (w_m - sign * (delta - d0)))
+    return delta - (d0 + sign * shift)
 
 
 def default_params(a=34.5e3, b=103e3):
@@ -138,6 +151,17 @@ def test_eta_value_and_monotonicity():
             for b in (20e3, 50e3, 74e3, 110e3)]
     assert all(x < y for x, y in zip(etas, etas[1:]))
     assert eta_z == pytest.approx(eta_d, rel=0.15)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["omega_0", "kappa", "g0"])
+def test_cavity_rejects_non_finite_parameters(field, bad):
+    """``nan <= 0`` is False, so a sign check alone lets NaN through."""
+    values = dict(omega_0=TWO_PI * 7.334e9, kappa=TWO_PI * 640e3,
+                  g0=TWO_PI * 4.5e3)
+    CavityParams(**values)
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        CavityParams(**{**values, field: bad})
 
 
 def test_degenerate_transitions_rejected():
