@@ -28,6 +28,8 @@ _UNITS = ("Hz", "s", "T", "rad", "deg", "counts")
 _QUANTITY_RE = re.compile(
     r"^\s*([+-]?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)\s*"
     r"(G|M|k|m|u|μ|n)?(" + "|".join(_UNITS) + r")?\s*$")
+#: how a quantity string starts: an optional sign, then a digit or ".digit"
+_NUMBER_START_RE = re.compile(r"^\s*[+-]?\.?\d")
 
 
 class ConfigError(ValueError):
@@ -108,15 +110,15 @@ def _cavity(node, path) -> CavityParams:
 
 
 def _detector(node, path) -> DetectorParams:
-    epsilon = float(_require(node, "epsilon", path))
+    epsilon = _quantity(node, "epsilon", path)
     # an intrinsic detector efficiency multiplies the spin efficiency
-    epsilon *= float(node.get("intrinsic_efficiency", 1.0))
+    epsilon *= _quantity(node, "intrinsic_efficiency", path, default=1.0)
+    gamma_dc = _quantity(node, "dark_rate", path, default=150.0)
+    cycle = _quantity(node, "cycle", path, default=17e-6)
+    dead = _quantity(node, "dead", path, default=2e-6)
     try:
-        return DetectorParams(
-            epsilon=epsilon,
-            gamma_dc=_quantity(node, "dark_rate", path, default=150.0),
-            cycle=_quantity(node, "cycle", path, default=17e-6),
-            dead=_quantity(node, "dead", path, default=2e-6))
+        return DetectorParams(epsilon=epsilon, gamma_dc=gamma_dc,
+                              cycle=cycle, dead=dead)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 
@@ -134,12 +136,12 @@ def _experiment(node, i) -> tuple[str, ExperimentConfig]:
 
 
 def _convert_param(value, path):
-    """Parse quantity strings anywhere inside a parameter tree."""
+    """Parse quantity strings anywhere inside a parameter tree; a string
+    that starts like a number must parse, any other is kept as a label."""
     if isinstance(value, str):
-        try:
+        if _NUMBER_START_RE.match(value):
             return parse_quantity(value, path)
-        except ConfigError:
-            return value           # plain string parameter (e.g. a label)
+        return value               # plain string parameter (e.g. a label)
     if isinstance(value, list):
         return [_convert_param(v, f"{path}[{i}]")
                 for i, v in enumerate(value)]

@@ -8,6 +8,7 @@ per emission: a photon arriving during the down-time fraction is lost.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,9 @@ class DetectorParams:
     dead: float = 2e-6
 
     def __post_init__(self):
+        for name in ("epsilon", "gamma_dc", "cycle", "dead"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"detector {name} must be finite")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must lie in [0, 1]")
         if self.gamma_dc < 0:

@@ -29,8 +29,9 @@ vectors in one scan when its first segment jumps.
 A readout cycle is a few short segments, so the fixed cost of a segment
 matters as much as its physics. Each segment builds its plan key once,
 when it is constructed; the plan carries what the hot path reads (wall
-time, drive targets, step grid). Plans and decay records are memoised by
-value on the ``SpinSystem`` they belong to, so they are freed with it.
+time, drive targets, step grid, each level's decay record and jump
+probability per step). Plans and decay records are memoised by value on
+the ``SpinSystem`` they belong to, so they are freed with it.
 Their only per-shot state is one table slot per drive, holding the table
 of the last shot offset the drive ran under: without t2* that offset is
 0 for good, and under t2* a shot's repeated pulses share the slot until
@@ -203,7 +204,7 @@ class JumpEvent:
 
     time: float
     label: str
-    photon: bool = True
+    photon = True
 
 
 @dataclass(frozen=True)
@@ -337,38 +338,19 @@ def _drive_weight(trans: Transition, seg: PulseSegment) -> float:
     return trans.matrix_element / (1.0 + (delta / bandwidth) ** 2)
 
 
-class _StepDecay:
-    """A level's decay record on a plan's step grid.
-
-    ``p_step`` is the jump probability of a fully excited level per step,
-    q = 1 - p_step. ``survival[i]`` is the no-jump probability over the
-    first ``i`` steps, q**i.
-    """
-
-    __slots__ = ("record", "p_step", "sqrt_survive", "survival")
-
-    def __init__(self, record: _Decay, dt: float, n_steps: int):
-        self.record = record
-        self.p_step = (-math.expm1(-record.total * dt) if record.total > 0
-                       else 0.0)
-        self.sqrt_survive = math.sqrt(1.0 - self.p_step)
-        self.survival = (1.0 - self.p_step) ** np.arange(n_steps + 1)
-
-
 class _LevelDrive:
-    """Per-level drive target: the transition a pulse actually works on."""
+    """Per-level drive target: the transition a pulse actually works on,
+    whose upper level's decay the plan holds."""
 
-    __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "decay",
-                 "block", "table")
+    __slots__ = ("trans", "pair", "omega_peak", "ac_shift", "block", "table")
 
-    def __init__(self, trans, amp_filt, omega_peak, sys, decay, block):
+    def __init__(self, trans, amp_filt, omega_peak, sys, block):
         self.trans = trans
         self.pair = (trans.lower, trans.upper)
         self.omega_peak = omega_peak
         # shift of the peak-amplitude drive; it follows the instantaneous
         # power as ac_shift * envelope**2
         self.ac_shift = ac_zeeman_shift(sys, trans, amp_filt)
-        self.decay = decay
         self.block = block          # steps per block of the tabulated maps
         # (offset, _NoJumpTable) of the last shot offset this drive ran
         # under, built on first use; a new offset replaces it
@@ -382,10 +364,11 @@ class _NoJumpTable:
     pair (populations and the transverse Bloch components, all scaled by
     the trace) every step is linear: the rotation about the instantaneous
     drive, the t2 factor on (X, Y), then the no-jump Kraus factor, which
-    keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q). The trace
-    of the state is the no-jump survival, so for a start vector v of unit
-    trace the survival after step i is ``trace[i] @ v``, the trace row of
-    the cumulative map, and the end state is the block's end map times v.
+    keeps rho_ll and scales rho_uu by q and (X, Y) by sqrt(q), where
+    q = 1 - ``plan.p_step`` of the upper level. The trace of the state is
+    the no-jump survival, so for a start vector v of unit trace the
+    survival after step i is ``trace[i] @ v``, the trace row of the
+    cumulative map, and the end state is the block's end map times v.
     ``restarts[i]`` is the start vector whose no-jump evolution passes
     through the lower pole right after step i, so a jump back into the
     pair at step i continues from it, with survival ``trace[j] @ v`` at
@@ -424,9 +407,9 @@ class _NoJumpTable:
         env = np.asarray(plan.envelope)
         detuning = (plan.frame - drive.trans.frequency - offset
                     if plan.frame != 0.0 else 0.0)
-        decay = drive.decay
-        transverse = decay.sqrt_survive * plan.t2_decay
-        weights = np.array([1.0, 1.0 - decay.p_step, transverse, transverse])
+        p_step = plan.p_step[drive.pair[1]]
+        transverse = math.sqrt(1.0 - p_step) * plan.t2_decay
+        weights = np.array([1.0, 1.0 - p_step, transverse, transverse])
         steps = _step_maps(drive.omega_peak * env,
                            detuning - drive.ac_shift * env * env, plan.dt,
                            weights)
@@ -456,7 +439,7 @@ class _NoJumpTable:
             while k < len(part):
                 part[k:] = part[k:] @ part[:-k]
                 k *= 2
-        lower = np.broadcast_to(_LOWER_POLE[:, None], (n, 4, 1))
+        lower = np.broadcast_to(_POLES[0][:, None], (n, 4, 1))
         self.restarts = np.linalg.solve(prefix, lower)[..., 0]
         self.trace = prefix[:, 0] + prefix[:, 1]
         self.steps = None
@@ -464,7 +447,6 @@ class _NoJumpTable:
 
 #: Start vectors of the lower and the upper pole.
 _POLES = np.eye(4)[:2]
-_LOWER_POLE = _POLES[0]
 
 def _rotation_map():
     """One no-jump step before its Kraus and t2 weights: a (4, 4) map on
@@ -545,21 +527,26 @@ class _PulsePlan:
     ``by_level``: the line with the largest element-weighted spectral
     overlap, or ``None`` when every candidate is too far off resonance
     to matter.
+
+    Each level's decay is held once, by level index: ``records``, the
+    system's, and ``p_step``, the jump probability per step of the level
+    when fully occupied (0 for a level that does not decay).
     """
 
-    __slots__ = ("sys", "records", "by_level", "wall_time", "driven",
-                 "n_steps", "dt", "envelope", "frame", "t2_decay", "decays")
+    __slots__ = ("sys", "records", "p_step", "by_level", "wall_time",
+                 "driven", "n_steps", "dt", "envelope", "frame", "t2_decay")
 
     def __init__(self, seg: PulseSegment, sys: SpinSystem, t2: float | None):
         self.sys = sys
-        self.records = _decays(sys)
         self.wall_time = seg.wall_time
         self.driven = seg.driven
         self.n_steps, self.dt = _time_steps(seg, sys)
+        self.records = _decays(sys)
+        self.p_step = [-math.expm1(-self.dt * record.total)
+                       for record in self.records]
         self.envelope = _envelope_samples(seg, self.n_steps, self.dt)
         self.frame = seg.frequency
         self.t2_decay = math.exp(-self.dt / t2) if t2 else 1.0
-        self.decays: dict[int, _StepDecay] = {}
         self.by_level = [None] * len(sys.levels)
         if not self.driven:
             return
@@ -589,30 +576,21 @@ class _PulsePlan:
             drive = drives.get(best)
             if drive is None:
                 omega_peak = amp * 2.0 * best.matrix_element * filt
-                decay = self.decay_for(best.upper)
                 drive = drives[best] = _LevelDrive(
-                    best, amp * filt, omega_peak, sys, decay,
-                    self._block(decay))
+                    best, amp * filt, omega_peak, sys,
+                    self._block(self.p_step[best.upper]))
             self.by_level[level] = drive
 
-    def _block(self, decay: _StepDecay) -> int:
+    def _block(self, p_step: float) -> int:
         """Steps per block of a drive's maps: all of them, or the most
         whose no-jump survival stays at least ``_MIN_SURVIVAL``."""
-        step = (1.0 - decay.p_step) * self.t2_decay
+        step = (1.0 - p_step) * self.t2_decay
         if step ** self.n_steps >= _MIN_SURVIVAL:
             return self.n_steps
         if step == 0.0:     # the t2 factor of one step underflows
             raise ValueError(f"t2 is too short for a drive step of "
                              f"{self.dt:.3g} s")
         return max(1, int(math.log(_MIN_SURVIVAL) / math.log(step)))
-
-    def decay_for(self, level: int) -> _StepDecay:
-        """Decay of ``level`` on this plan's step grid, built once."""
-        decay = self.decays.get(level)
-        if decay is None:
-            decay = self.decays[level] = _StepDecay(self.records[level],
-                                                    self.dt, self.n_steps)
-        return decay
 
 
 def _pulse_plan(seg: PulseSegment, sys: SpinSystem,
@@ -653,9 +631,8 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
       the running product of its step survivals, so events, levels and
       random stream match such a loop up to rounding. A uniform at most
       the end survival leaves the segment jump-free, and only its end
-      map is applied; every table, at any offset, scans its survival
-      rows, cumulative maps and restart vectors on the first segment
-      that jumps.
+      map is applied; a table scans its rows, cumulative maps and
+      restart vectors on its first segment that jumps.
 
     A jump is stamped at the midpoint of the step it falls in. A
     zero-length segment returns at once, before any plan is looked up;
@@ -710,32 +687,36 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     """Closed-form no-jump evolution of a coherence with the drive off.
 
     A rotation about z commutes with the amplitude-damping no-jump map.
-    After i no-jump steps the survival is p_lower + p_upper q**i, so one
-    uniform u decides the segment: it is jump-free when u is at most the
-    end survival, and otherwise jumps at the first step whose survival
-    falls below u. The end coherence is (x, y) rotated by the detuning
-    times the segment length and scaled by (sqrt(q) t2_decay)**n over the
-    end survival. A jump back to the lower level leaves the pole, which no
-    longer decays or precesses; like every jump back into a pair, it
-    draws the uniform of a restart, although the pole can never use it.
+    With q = 1 - ``plan.p_step`` of the upper level, the survival after i
+    no-jump steps is p_lower + p_upper q**i, so one uniform u decides the
+    segment: it is jump-free when u is at most the end survival, and
+    otherwise jumps at the first step whose survival falls below u, the
+    one case that forms the survival of every step. The end coherence is
+    (x, y) rotated by the detuning times the segment length and scaled by
+    (sqrt(q) t2_decay)**n over the end survival. A jump back to the lower
+    level leaves the pole, which no longer decays or precesses; like every
+    jump back into a pair, it draws the uniform of a restart, although
+    the pole can never use it.
     """
     lower, upper = state.pair
-    decay = plan.decay_for(upper)
+    record = plan.records[upper]
+    q = 1.0 - plan.p_step[upper]
     n, dt = plan.n_steps, plan.dt
     x, y, z = state.bloch
     t0 = state.time
     events: list[JumpEvent] = []
     scale = plan.t2_decay ** n
-    if decay.record.total > 0:
+    if record.total > 0:
         u = rng.random()
         p_upper = 0.5 * (1.0 + z)
         p_lower = 1.0 - p_upper
-        upper_end = p_upper * float(decay.survival[-1])
+        upper_end = p_upper * q ** n
         norm = p_lower + upper_end
         if u > norm:
-            # the last survival is ``norm``, so some step falls below u
-            i = _first_hit(p_lower + p_upper * decay.survival[1:] < u)
-            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
+            rows = p_lower + p_upper * q ** np.arange(1, n + 1)
+            rows[-1] = norm     # numpy's power may round apart from q ** n
+            i = _first_hit(rows < u)
+            state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
                 return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
@@ -744,7 +725,7 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
             state.bloch = [0.0, 0.0, -1.0]
             state.time = t0 + plan.wall_time
             return events
-        scale *= decay.sqrt_survive ** n / norm
+        scale *= math.sqrt(q) ** n / norm
         z = (upper_end - p_lower) / norm
     detuning = (plan.frame - _pair_frequency(plan.sys, state.pair)
                 - state.shot_offset if plan.frame != 0.0 else 0.0)
@@ -781,11 +762,11 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
     ``table.restarts``. At a block boundary the state is carried by the
     block's end map and renormalised to unit trace.
     """
-    decay = drive.decay
+    record = plan.records[drive.pair[1]]
     t0 = state.time
     events: list[JumpEvent] = []
     x, y, z = state.bloch
-    u = rng.random() if decay.record.total > 0 else None
+    u = rng.random() if record.total > 0 else None
     if (len(table.spans) == 1 and x == 0.0 and y == 0.0
             and (z == 1.0 or z == -1.0)):
         upper = int(z > 0)
@@ -808,8 +789,7 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
             if hit is None:     # the end map and the rows round apart
                 break
             i = start + hit
-            state.level = decay.record.jump(t0 + (i + 0.5) * plan.dt, rng,
-                                            events)
+            state.level = record.jump(t0 + (i + 0.5) * plan.dt, rng, events)
             if state.level != drive.pair[0]:
                 state.time = t0 + (i + 1) * plan.dt
                 return _leave_pair(state, plan,

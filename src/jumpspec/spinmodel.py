@@ -401,20 +401,19 @@ def ac_zeeman_frequencies(p: SpinParams, omega_drive: float):
 
 
 def forbidden_rabi(omega_drive: float, p: SpinParams, c: CavityParams,
-                   delta: float, *, amplitude_at_drive_frequency: bool = False) -> float:
+                   delta: float) -> float:
     """Forbidden-transition Rabi frequency (rad/s).
 
     ``omega_drive`` is the drive amplitude expressed as the equivalent
     allowed-transition Rabi frequency of the same input power applied at
     cavity resonance; the resonator attenuates it by the field filter at
-    detuning ``delta``.  Set ``amplitude_at_drive_frequency=True`` when the
-    amplitude is already the effective value at the forbidden frequency
-    (e.g. quoted from a filtered measurement), which skips the filter.
+    detuning ``delta``.  Pass ``delta=0.0`` when the amplitude is already
+    the effective value at the forbidden frequency (e.g. quoted from a
+    filtered measurement): the filter at zero detuning is 1.
     """
     a, b = _single_coupling(p)
     wi = abs(p.omega_i)
     if abs(2 * wi - a) < 1e-300 or abs(2 * wi + a) < 1e-300:
         raise ZeroDivisionError("A = +/- 2*omega_I: sideband amplitude diverges")
     element_sum = b / (2 * wi - a) + b / (2 * wi + a)
-    f = 1.0 if amplitude_at_drive_frequency else drive_filter(c, delta)
-    return abs(omega_drive / 2.0 * element_sum * f)
+    return abs(omega_drive / 2.0 * element_sum * drive_filter(c, delta))

@@ -69,10 +69,14 @@ def test_parse_config_roundtrip():
 
 
 def test_schema_error_carries_field_path():
-    text = config_text().replace("kappa: 640 kHz", "kappa: fast")
-    with pytest.raises(ConfigError) as err:
-        parse_config(text)
-    assert "cavity.kappa" in str(err.value)
+    for field, bad, path in (
+            ("kappa: 640 kHz", "kappa: fast", "cavity.kappa"),
+            ("epsilon: 0.18", "epsilon: 0.18\n  dark_rate: fast",
+             "detector.dark_rate"),
+            ("epsilon: 0.18", "epsilon: 18 %", "detector.epsilon")):
+        with pytest.raises(ConfigError) as err:
+            parse_config(config_text().replace(field, bad))
+        assert err.value.path == path
     with pytest.raises(ConfigError) as err:
         parse_config("seed: 1\n")
     assert "system" in str(err.value)
@@ -109,11 +113,14 @@ def test_run_invalid_config_machine_readable_error(tmp_path):
 @pytest.mark.parametrize("path,field,bad", [
     ("cavity", "kappa: 640 kHz", "kappa: .nan"),
     ("system", "omega_i: -788.1 kHz", "omega_i: .inf"),
+    ("detector", "dark_rate: 150 Hz", "dark_rate: .inf"),
+    ("detector", "cycle: 17 us", "cycle: .inf"),
 ])
 def test_run_rejects_non_finite_parameters(tmp_path, path, field, bad):
-    """A NaN kappa or an infinite omega_i in the readout config fails as
-    a config error that names its section, instead of a run that writes
-    NaN estimates into its JSON summaries."""
+    """A NaN kappa, or an infinite omega_i, dark rate or cycle, in the
+    readout config fails as a config error that names its section,
+    instead of a run that fails midway or writes NaN estimates into its
+    JSON summaries."""
     text = (SHIPPED_DIR / "readout.yaml").read_text()
     assert field in text
     cfg_file = tmp_path / "readout.yaml"
@@ -145,11 +152,15 @@ def test_run_unknown_protocol_leaves_no_partial_outputs(tmp_path):
      "step: 2 kHz, n_averages: 1, t_int: 100 us, n_shot: 3}}", "n_shot"),
     ("{name: spec, protocol: ramsey, params: {tau_points: 2, "
      "n_averages: 1, t_int: 100 us, t2: 1 ms}}", "t2"),
-], ids=["typo", "other_protocol"])
+    ("{name: spec, protocol: ramsey, params: {tau_points: 2, "
+     "n_averages: 1, t_int: 100 uss}}", "t_int"),
+], ids=["typo", "other_protocol", "misspelt_unit"])
 def test_run_unknown_parameter_fails_with_its_path(tmp_path, experiment,
                                                    key):
     """A parameter the protocol does not read (a typo, or a parameter of
-    another protocol) fails the run instead of running on the defaults."""
+    another protocol) fails the run instead of running on the defaults,
+    and so does a quantity with a misspelt unit instead of running as a
+    label."""
     exps = ("[{name: ok, protocol: lattice, params: {theta_points: 3}}, "
             + experiment + "]")
     cfg_file = tmp_path / "run.yaml"

@@ -195,21 +195,41 @@ def test_ambiguous_carrier_rejected(system):
     # halfway between them both are > 1 kHz away, so addressing works
     apply_pulse(SystemState(level=1), gaussian_pi(freq), system,
                 trajectory_rng(17, 0))
-    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 1e3)])
+    # a 1.5 kHz hyperfine splitting puts both allowed lines within 1 kHz
+    # of the carrier halfway between them
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(1.5e3, 0.0)])
     sys2 = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
     mid = 0.5 * (sys2.transition("allowed_d").frequency
                  + sys2.transition("allowed_u").frequency)
     with pytest.raises(AmbiguousDriveError):
-        # 34.5 kHz splitting: carriers near both lines at once are not
-        # resolvable below the 1 kHz ambiguity band only when degenerate;
-        # force it with a tiny splitting instead
-        p3 = SpinParams.from_hz(7.334e9, -788.1e3, [(1.5e3, 0.0)])
-        sys3 = build_system(p3, CavityParams.from_hz(7.334e9, 640e3, 4.5e3))
-        mid3 = 0.5 * (sys3.transition("allowed_d").frequency
-                      + sys3.transition("allowed_u").frequency)
-        apply_pulse(SystemState(level=1), gaussian_pi(mid3), sys3,
+        apply_pulse(SystemState(level=1), gaussian_pi(mid), sys2,
                     trajectory_rng(17, 1))
-    del mid
+
+
+def test_lossless_cavity_is_unitary_and_draws_nothing():
+    """With g0 = 0 no level decays, so no segment draws a uniform: a
+    resonant pi on the strongest allowed line inverts the pair exactly,
+    and a Ramsey pi/2, framed wait, pi/2 keeps a pure Bloch vector."""
+    p = SpinParams.from_hz(7.334e9, -788.1e3, [(34.5e3, 103e3)])
+    sys = build_system(p, CavityParams.from_hz(7.334e9, 640e3, 0.0))
+    assert all(sys.total_rate(i) == 0.0 for i in range(len(sys.levels)))
+    # the pi is calibrated on the strongest allowed element
+    line = max(sys.allowed_transitions(), key=lambda t: t.matrix_element)
+    carrier = line.frequency + TWO_PI * 3e3
+    schedules = (
+        [gaussian_pi(line.frequency)],
+        [gaussian_pi(carrier, rotation=math.pi / 2), wait(40e-6, carrier),
+         gaussian_pi(carrier, rotation=math.pi / 2)])
+    for index, schedule in enumerate(schedules):
+        rng = trajectory_rng(31, index)
+        state = SystemState(level=line.lower)
+        for seg in schedule:
+            assert apply_pulse(state, seg, sys, rng) == []
+        assert state.pair == (line.lower, line.upper)
+        if index == 0:
+            assert abs(state.bloch[2] - 1.0) <= 1e-12
+        assert abs(math.hypot(*state.bloch) - 1.0) <= 1e-12
+        assert rng.random() == trajectory_rng(31, index).random()
 
 
 def _address_by_sort(seg, sys):
@@ -383,14 +403,15 @@ def _step_loop(state, plan, drive, rng, per_step=False):
     instead: one pre-drawn uniform per step, compared with that step's
     hazard; it draws a different stream of the same law.
     """
-    lower = state.pair[0]
-    decay, trans_freq = drive.decay, drive.trans.frequency
+    lower, upper = state.pair
+    record, trans_freq = plan.records[upper], drive.trans.frequency
     omega_peak, ac_shift = drive.omega_peak, drive.ac_shift
-    p_step, sqrt_survive = decay.p_step, decay.sqrt_survive
+    p_step = plan.p_step[upper]
+    sqrt_survive = math.sqrt(1.0 - p_step)
     n_steps, dt, envelope = plan.n_steps, plan.dt, plan.envelope
     t2_decay = plan.t2_decay
     frame = plan.frame
-    jumps = decay.record.total > 0
+    jumps = record.total > 0
     if per_step:
         uniforms = rng.random(n_steps) if jumps else None
     else:
@@ -433,7 +454,7 @@ def _step_loop(state, plan, drive, rng, per_step=False):
             survival *= 1.0 - p_upper * p_step
             jumped = survival < u
         if jumped:
-            state.level = decay.record.jump(t0 + (i + 0.5) * dt, rng, events)
+            state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 return dyn._leave_pair(state, plan,
                                        plan.wall_time - (i + 1) * dt, rng,
@@ -460,8 +481,8 @@ def _via_step_loop(state, seg, sys, rng, noise, per_step=False):
         return dyn._relax(state, plan, plan.wall_time, rng)
     if drive is None:
         drive = SimpleNamespace(
-            omega_peak=0.0, ac_shift=0.0, decay=plan.decay_for(state.pair[1]),
-            block=plan.n_steps, trans=SimpleNamespace(
+            omega_peak=0.0, ac_shift=0.0, block=plan.n_steps,
+            trans=SimpleNamespace(
                 frequency=dyn._pair_frequency(sys, state.pair)))
     return _step_loop(state, plan, drive, rng, per_step)
 
@@ -587,11 +608,10 @@ def test_survival_rows_fall_from_one(system, fast_system, fast, kind,
         system, fast_system, fast, kind, offset_hz, pulse_len, free_len,
         rotation, t2, start, framed)
     if drive is None:
-        decay = plan.decay_for(state.pair[1])
+        q = 1.0 - plan.p_step[state.pair[1]]
         p_upper = 0.5 * (1.0 + state.bloch[2])
-        rows = (1.0 - p_upper) + p_upper * decay.survival
-        _assert_survival(rows, (1.0 - p_upper)
-                         + p_upper * float(decay.survival[-1]))
+        rows = (1.0 - p_upper) + p_upper * q ** np.arange(plan.n_steps + 1)
+        _assert_survival(rows, (1.0 - p_upper) + p_upper * q ** plan.n_steps)
         return
     starts = [np.eye(4)[0], np.eye(4)[1]]
     if state.bloch is not None:
@@ -649,8 +669,7 @@ def test_no_jump_cache_is_independent_of_shot_count():
         for plan in sys._memo.values():
             if isinstance(plan, dyn._PulsePlan):
                 drives = set(d for d in plan.by_level if d is not None)
-                n += len(plan.decays) + sum(d.table[1] is not None
-                                            for d in drives)
+                n += sum(d.table[1] is not None for d in drives)
         return n
 
     def run(shots):

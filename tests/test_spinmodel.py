@@ -248,8 +248,7 @@ def test_forbidden_rabi_filtered_and_unfiltered():
     cav = default_cavity()
     d_z = forbidden_frequencies(p)[1]
     om = TWO_PI * 220e3
-    unfiltered = forbidden_rabi(om, p, cav, d_z,
-                                amplitude_at_drive_frequency=True)
+    unfiltered = forbidden_rabi(om, p, cav, 0.0)
     filtered = forbidden_rabi(om, p, cav, d_z)
     assert filtered == pytest.approx(
         unfiltered * drive_filter(cav, d_z), rel=1e-12)
