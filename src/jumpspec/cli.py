@@ -21,17 +21,18 @@ import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import click
 import numpy as np
 
 from . import __version__, analysis, fitting, sequencer
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, ExperimentConfig, RunConfig, load_config
 from .detector import DetectorParams
 from .dynamics import SystemState, trajectory_rng
 from .lattice import angle_sweep, load_structure
-from .sequencer import ExperimentConfig, TrackerState, run_tracking
+from .sequencer import TrackerState, run_tracking
 from .spinmodel import SpinSystem, build_system
 
 TWO_PI = 2.0 * math.pi
@@ -44,8 +45,8 @@ class RunContext:
     seed: int
     outdir: Path
     name: str
+    protocol: str
     lattice_file: str | None
-    index: int          # the experiment's place in the config
 
 
 def _cell(v):
@@ -67,44 +68,77 @@ def _write_jsonl(path: Path, records) -> None:
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _grid(params, prefix, default_lo, default_hi, default_n):
+# ---------------------------------------------------------------------------
+# protocol parameters: a reader checks a config value at its path, and
+# returns it as the library takes it
+
+def _number(value, path, least=None):
+    """A finite number; given ``least``, a whole number of at least that."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or least is not None
+            and (value < least or value != int(value))):
+        what = ("a finite number" if least is None
+                else f"a whole number of at least {least}")
+        raise ConfigError(path, f"expected {what}, got {value!r}")
+    return value if least is None else int(value)
+
+
+def _each(read):     # a list, element by element; one value is a list of one
+    return lambda value, path: (
+        [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
+        if isinstance(value, list) and value else [read(value, path)])
+
+
+_COUNT, _INDEX = partial(_number, least=1), partial(_number, least=0)
+#: how each parameter that is not a plain number is read (a label as given)
+_READ = {
+    **dict.fromkeys(("n_spectra", "n_averages", "n_shots", "n_ro", "n_iter",
+                     "tau_points", "delta_points", "theta_points"), _COUNT),
+    **dict.fromkeys(("initial_level", "n_prep"), _INDEX),
+    **dict.fromkeys(("transition", "prepare", "target"), lambda v, path: v),
+    **dict.fromkeys(("tau_values", "delta_values"), _each(_number)),
+    **dict.fromkeys(("center", "amplitude"),      # Hz -> rad/s
+                    lambda v, path: TWO_PI * _number(v, path)),
+    "n_ro_values": _each(_COUNT), "n_prep_values": _each(_INDEX),
+    "t2_star": lambda v, path: sequencer.NoiseModel(t2_star=_number(v, path)),
+    "t2": lambda v, path: sequencer.NoiseModel(t2=_number(v, path))}
+#: the library keywords that differ from the config names
+_KEYWORD = {"span": "span_hz", "step": "step_hz", "detuning": "detuning_hz",
+            "t2_star": "noise", "t2": "noise", "theta_points": "n_points"}
+
+
+def _read_params(exp: ExperimentConfig, index: int) -> dict:
+    """The keywords of ``exp``'s checked parameters and of the CLI defaults."""
+    if exp.protocol not in PROTOCOLS:
+        raise ConfigError(f"experiments[{index}].protocol",
+                          f"unknown protocol {exp.protocol!r}")
+    declared, path = PROTOCOLS[exp.protocol][1], f"experiments[{index}].params"
+    for name in exp.params:
+        if name not in declared:
+            raise ConfigError(f"{path}.{name}", "not a parameter of protocol "
+                              f"{exp.protocol!r}: {', '.join(declared)}")
+        grid = name.rpartition("_")[0] + "_values"
+        if name.endswith(("_min", "_max", "_points")) and grid in exp.params:
+            raise ConfigError(f"{path}.{name}", f"not read with {grid} given")
+    given = {k: v for k, v in declared.items() if v is not None} | exp.params
+    return {_KEYWORD.get(k, k): _READ.get(k, _number)(v, f"{path}.{k}")
+            for k, v in given.items()}
+
+
+def _grid(kwargs, prefix):
     """Either an explicit ``<prefix>_values`` list or a lo/hi/n range."""
-    values = params.pop(f"{prefix}_values", None)
-    if values is not None:
-        return np.asarray(values, dtype=float)
-    lo = params.pop(f"{prefix}_min", default_lo)
-    hi = params.pop(f"{prefix}_max", default_hi)
-    n = int(params.pop(f"{prefix}_points", default_n))
-    return np.linspace(lo, hi, n)
-
-
-def _all_read(exp: ExperimentConfig, ctx: RunContext) -> None:
-    """Reject a parameter the runner did not pop: a typo, or another's."""
-    if exp.params:
-        raise ConfigError(
-            f"experiments[{ctx.index}].params.{next(iter(exp.params))}",
-            f"not a parameter of protocol {exp.protocol!r}: "
-            + ", ".join(exp.params))
+    lo, hi, n = (kwargs.pop(f"{prefix}_{e}") for e in ("min", "max", "points"))
+    values = kwargs.pop(f"{prefix}_values", None)
+    return np.asarray(values, float) if values else np.linspace(lo, hi, n)
 
 
 # ---------------------------------------------------------------------------
-# protocol runners: each pops the parameters it reads from ``exp.params``
-# (a copy), calls ``_all_read`` before it simulates, and returns
-# (artifact file names, summary dict)
+# protocol runners: each takes its experiment's keywords from
+# ``_read_params`` and returns (artifact file names, summary dict)
 
-def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    args = dict(
-        n_spectra=int(p.pop("n_spectra", 1)),
-        initial_level=int(p.pop("initial_level", 0)),
-        center=p.pop("center", ctx.sys.params.omega_s / TWO_PI) * TWO_PI,
-        span_hz=p.pop("span", 100e3),
-        step_hz=p.pop("step", 2e3),
-        n_averages=int(p.pop("n_averages", 50)),
-        pulse_fwhm=p.pop("pulse_fwhm", 80e-6),
-        t_int=p.pop("t_int", 2.0e-3))
-    _all_read(exp, ctx)
-    trace = sequencer.trace_experiment(ctx.sys, ctx.det, ctx.seed, **args)
+def _run_spectroscopy(kwargs, ctx: RunContext):
+    kwargs.setdefault("center", ctx.sys.params.omega_s)
+    trace = sequencer.trace_experiment(ctx.sys, ctx.det, ctx.seed, **kwargs)
     rows = [(i, d, int(c), c / sp.n_averages)
             for i, sp in enumerate(trace.spectra)
             for d, c in zip(sp.delta_hz, sp.counts)]
@@ -113,7 +147,7 @@ def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
                ["spectrum_index", "delta_hz", "counts", "mean_counts"], rows)
     mean = np.mean([sp.mean_counts for sp in trace.spectra], axis=0)
     deltas = trace.spectra[0].delta_hz
-    summary = {"protocol": exp.protocol, "n_spectra": len(trace.spectra)}
+    summary = {"protocol": ctx.protocol, "n_spectra": len(trace.spectra)}
     try:
         fit = analysis.fit_lorentzian(deltas, mean)
         summary.update(peak_delta_hz=fit.center, peak_sigma_hz=fit.center_sigma,
@@ -123,25 +157,18 @@ def _run_spectroscopy(exp: ExperimentConfig, ctx: RunContext):
     return [fname], summary
 
 
-def _run_readout(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    n_ro_values = [int(v) for v in
-                   np.atleast_1d(p.pop("n_ro_values", [50, 100, 200]))]
-    n_shots = int(p.pop("n_shots", 20))
-    t_d = p.pop("t_d", 2.6e-3)
-    _all_read(exp, ctx)
+def _run_readout(kwargs, ctx: RunContext):
+    n_ro_values, n_shots = kwargs.pop("n_ro_values"), kwargs.pop("n_shots")
     down, up = sequencer.readout_pair(ctx.sys)
     records, p_success = [], []
-    shot_index = 0
     for n_ro in n_ro_values:
         hits = 0
         for prep, level in (("d", down.lower), ("u", up.lower)):
             for _ in range(n_shots):
-                rng = trajectory_rng(ctx.seed, shot_index)
-                shot_index += 1
-                state = SystemState(level=level)
+                rng = trajectory_rng(ctx.seed, len(records))   # shot index
                 rec = sequencer.single_shot_readout(
-                    state, ctx.sys, ctx.det, rng, n_ro=n_ro, t_d=t_d)
+                    SystemState(level=level), ctx.sys, ctx.det, rng,
+                    n_ro=n_ro, **kwargs)
                 hits += (rec.state_call == prep)
                 records.append({"n_ro": n_ro, "prepared": prep,
                                 "c_down": rec.c_down, "c_up": rec.c_up,
@@ -152,13 +179,15 @@ def _run_readout(exp: ExperimentConfig, ctx: RunContext):
     _write_csv(ctx.outdir / curve_name, ["n_ro", "p_success"],
                zip(n_ro_values, p_success))
     _write_jsonl(ctx.outdir / events_name, records)
-    summary = {"protocol": exp.protocol, "n_shots_per_point": 2 * n_shots}
+    summary = {"protocol": ctx.protocol, "n_shots_per_point": 2 * n_shots}
     deltas = [r["c_down"] - r["c_up"] for r in records
               if r["n_ro"] == max(n_ro_values)]
     if len(deltas) >= 100:
         thr = analysis.readout_threshold(deltas)
         summary.update(threshold=thr.threshold, fidelity=thr.fidelity)
     if len(n_ro_values) >= 5:
+        t_d = kwargs.get("t_d",
+                         sequencer.single_shot_readout.__kwdefaults__["t_d"])
         model = analysis.fit_readout_curve(
             n_ro_values, p_success, epsilon=ctx.det.epsilon,
             gamma_dc=ctx.det.gamma_dc, t_d=t_d)
@@ -170,38 +199,22 @@ def _run_readout(exp: ExperimentConfig, ctx: RunContext):
     return [curve_name, events_name], summary
 
 
-def _run_eldor(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    deltas = _grid(p, "delta", -820e3, -760e3, 13)
-    args = dict(
-        amplitude=TWO_PI * p.pop("amplitude", 200e3),
-        duration=p.pop("duration", 50e-6),
-        prepare=p.pop("prepare", "d"),
-        n_prep=int(p.pop("n_prep", 3)),
-        n_shots=int(p.pop("n_shots", 20)),
-        n_ro=int(p.pop("n_ro", 100)),
-        t_d=p.pop("t_d", 2.6e-3))
-    _all_read(exp, ctx)
+def _run_eldor(kwargs, ctx: RunContext):
+    deltas = _grid(kwargs, "delta")
     p_down = sequencer.eldor_scan(ctx.sys, ctx.det, ctx.seed,
-                                  deltas_hz=deltas, **args)
+                                  deltas_hz=deltas, **kwargs)
     fname = f"{ctx.name}_eldor.csv"
     _write_csv(ctx.outdir / fname, ["delta_hz", "p_down"],
                zip(deltas, p_down))
-    summary = {"protocol": exp.protocol,
-               "dip_delta_hz": float(deltas[np.argmin(p_down)]),
-               "depth": float(np.max(p_down) - np.min(p_down))}
-    return [fname], summary
+    return [fname], {"protocol": ctx.protocol,
+                     "dip_delta_hz": float(deltas[np.argmin(p_down)]),
+                     "depth": float(np.max(p_down) - np.min(p_down))}
 
 
-def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    target = p.pop("target", "d")
-    n_prep_values = [int(v) for v in np.atleast_1d(p.pop("n_prep_values",
-                                                         [1, 2, 4]))]
-    n_shots = int(p.pop("n_shots", 40))
-    _all_read(exp, ctx)
+def _run_dnp(kwargs, ctx: RunContext):
+    target, n_shots = kwargs["target"], kwargs["n_shots"]
     rows = []
-    for k, n_prep in enumerate(n_prep_values):
+    for k, n_prep in enumerate(kwargs["n_prep_values"]):
         hit = 0
         for i in range(n_shots):
             rng = trajectory_rng(ctx.seed, k * n_shots + i)
@@ -212,51 +225,28 @@ def _run_dnp(exp: ExperimentConfig, ctx: RunContext):
         rows.append((n_prep, hit / n_shots))
     fname = f"{ctx.name}_dnp.csv"
     _write_csv(ctx.outdir / fname, ["n_prep", "p_target"], rows)
-    return [fname], {"protocol": exp.protocol, "target": target,
+    return [fname], {"protocol": ctx.protocol, "target": target,
                      "p_target_final": rows[-1][1]}
 
 
-def _run_oscillation(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    taus = _grid(p, "tau", 0.0, 200e-6, 21)
-    args = dict(transition=p.pop("transition", "allowed_d"),
-                n_averages=int(p.pop("n_averages", 50)),
-                t_int=p.pop("t_int", 2.0e-3))
-    if exp.protocol == "rabi":
-        experiment = sequencer.rabi_experiment
-        args.update(durations=taus,
-                    amplitude=TWO_PI * p.pop("amplitude", 50e3))
-    elif exp.protocol == "ramsey":
-        experiment = sequencer.ramsey_experiment
-        args.update(delays=taus, detuning_hz=p.pop("detuning", 5e3),
-                    noise=sequencer.NoiseModel(t2_star=p.pop("t2_star", 0.0)))
-    else:
-        experiment = sequencer.echo_experiment
-        args.update(delays=taus,
-                    noise=sequencer.NoiseModel(t2=p.pop("t2", 0.0)))
-    _all_read(exp, ctx)
-    signal = experiment(ctx.sys, ctx.det, ctx.seed, **args)
-    fname = f"{ctx.name}_{exp.protocol}.csv"
+def _run_oscillation(kwargs, ctx: RunContext):
+    taus = _grid(kwargs, "tau")
+    grid = "durations" if ctx.protocol == "rabi" else "delays"
+    experiment = getattr(sequencer, f"{ctx.protocol}_experiment")
+    signal = experiment(ctx.sys, ctx.det, ctx.seed, **{grid: taus}, **kwargs)
+    fname = f"{ctx.name}_{ctx.protocol}.csv"
     _write_csv(ctx.outdir / fname, ["tau_s", "mean_counts"],
                zip(taus, signal))
-    return [fname], {"protocol": exp.protocol,
+    return [fname], {"protocol": ctx.protocol,
                      "contrast": float(np.max(signal) - np.min(signal))}
 
 
-def _run_tracking(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    tracker = TrackerState(p_gain=p.pop("p_gain", 10.0),
-                           i_gain=p.pop("i_gain", 1e-3),
-                           f=p.pop("f", 2000.0),
-                           tau=p.pop("tau", 25e-6))
-    drift_rate = TWO_PI * p.pop("drift_hz_per_min", 1e3) / 60.0
-    args = dict(
-        slope=p.pop("slope", 50.0),
-        n_iter=int(p.pop("n_iter", 2000)), t_iter=p.pop("t_iter", 0.05),
-        noise_sigma=p.pop("noise_sigma", 0.0))
-    _all_read(exp, ctx)
-    rec = run_tracking(tracker, drift=lambda t: drift_rate * t,
-                       rng=trajectory_rng(ctx.seed, 0), **args)
+def _run_tracking(kwargs, ctx: RunContext):
+    tracker = TrackerState(**{k: kwargs.pop(k) for k in
+                              ("p_gain", "i_gain", "f", "tau") if k in kwargs})
+    rate = TWO_PI * kwargs.pop("drift_hz_per_min") / 60.0    # rad/s per s
+    rec = run_tracking(tracker, drift=lambda t: rate * t,
+                       rng=trajectory_rng(ctx.seed, 0), **kwargs)
     fname = f"{ctx.name}_tracking.csv"
     _write_csv(ctx.outdir / fname,
                ["time_s", "residual_hz", "correction_hz"],
@@ -264,7 +254,7 @@ def _run_tracking(exp: ExperimentConfig, ctx: RunContext):
                    rec.corrections / TWO_PI))
     settled = rec.detunings[len(rec.detunings) // 4:]
     rms = float(np.sqrt(np.mean(settled ** 2)) / TWO_PI)
-    return [fname], {"protocol": exp.protocol, "rms_residual_hz": rms}
+    return [fname], {"protocol": ctx.protocol, "rms_residual_hz": rms}
 
 
 _COUPLING_HEADER = ["site", "shell", "theta_deg", "a_hz", "b_hz"]
@@ -279,48 +269,60 @@ def _coupling_rows(sweep):
             for i, th in enumerate(sweep.thetas)]
 
 
-def _run_lattice(exp: ExperimentConfig, ctx: RunContext):
-    p = exp.params
-    args = dict(beta=p.pop("beta", 0.0),
-                theta_range=(p.pop("theta_min", -1.0),
-                             p.pop("theta_max", 1.0)),
-                n_points=int(p.pop("theta_points", 21)))
-    _all_read(exp, ctx)
-    sweep = angle_sweep(load_structure(ctx.lattice_file), **args)
+def _run_lattice(kwargs, ctx: RunContext):
+    theta_range = (kwargs.pop("theta_min"), kwargs.pop("theta_max"))
+    sweep = angle_sweep(load_structure(ctx.lattice_file),
+                        theta_range=theta_range, **kwargs)
     fname = f"{ctx.name}_couplings.csv"
     _write_csv(ctx.outdir / fname, _COUPLING_HEADER, _coupling_rows(sweep))
-    return [fname], {"protocol": exp.protocol, "n_sites": len(sweep.labels)}
+    return [fname], {"protocol": ctx.protocol, "n_sites": len(sweep.labels)}
 
 
+_SWEEP = dict.fromkeys(("initial_level", "center", "span", "step", "t_int",
+                        "n_averages", "pulse_fwhm")) | {"n_spectra": 1}
+_OSCILLATION = {"n_averages": None, "t_int": None, "tau_values": None,
+                "tau_min": 0.0, "tau_max": 200e-6, "tau_points": 21,
+                "transition": "allowed_d"}
+
+#: each protocol's runner, and its config parameters with their defaults
+#: (config values); None leaves a parameter to the library's default
 PROTOCOLS = {
-    "spectroscopy": _run_spectroscopy,
-    "trace": _run_spectroscopy,
-    "readout": _run_readout,
-    "eldor": _run_eldor,
-    "dnp": _run_dnp,
-    "rabi": _run_oscillation,
-    "ramsey": _run_oscillation,
-    "echo": _run_oscillation,
-    "tracking": _run_tracking,
-    "lattice": _run_lattice,
+    "spectroscopy": (_run_spectroscopy, _SWEEP),    # center: omega_s
+    "trace": (_run_spectroscopy, _SWEEP),
+    "readout": (_run_readout, {"n_ro_values": [50, 100, 200], "n_shots": 20,
+                               "t_d": None}),
+    "eldor": (_run_eldor, dict.fromkeys((
+        "delta_values", "prepare", "n_prep", "n_shots", "n_ro", "t_d")) | {
+        "delta_min": -820e3, "delta_max": -760e3, "delta_points": 13,
+        "amplitude": 200e3, "duration": 50e-6}),
+    "dnp": (_run_dnp, {"target": "d", "n_prep_values": [1, 2, 4],
+                       "n_shots": 40}),
+    "rabi": (_run_oscillation, {**_OSCILLATION, "amplitude": 50e3}),
+    "ramsey": (_run_oscillation, {**_OSCILLATION, "detuning": None,
+                                  "t2_star": None}),
+    "echo": (_run_oscillation, {**_OSCILLATION, "t2": None}),
+    "tracking": (_run_tracking, dict.fromkeys(("f", "tau", "noise_sigma")) | {
+        "p_gain": 10.0, "i_gain": 1e-3, "drift_hz_per_min": 1e3,
+        "slope": 50.0, "n_iter": 2000, "t_iter": 0.05}),
+    "lattice": (_run_lattice, {"beta": 0.0, "theta_min": -1.0,
+                               "theta_max": 1.0, "theta_points": 21}),
 }
 
 
 def _execute(cfg: RunConfig, config_bytes: bytes) -> Path:
+    # every experiment's parameters are checked before any of them runs
+    kwargs = [_read_params(exp, i) for i, exp in enumerate(cfg.experiments)]
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
     system = build_system(cfg.system, cfg.cavity)
     try:
         file_lists = []
         for i, exp in enumerate(cfg.experiments):
-            runner = PROTOCOLS.get(exp.protocol)
-            if runner is None:
-                raise ConfigError(f"experiments[{i}].protocol",
-                                  f"unknown protocol {exp.protocol!r}")
-            ctx = RunContext(sys=system, det=cfg.detector, index=i,
+            ctx = RunContext(sys=system, det=cfg.detector,
                              seed=cfg.seed + 1000 * i, outdir=outdir,
-                             name=cfg.names[i], lattice_file=cfg.lattice_file)
-            files, summary = runner(replace(exp, params=dict(exp.params)), ctx)
+                             name=cfg.names[i], protocol=exp.protocol,
+                             lattice_file=cfg.lattice_file)
+            files, summary = PROTOCOLS[exp.protocol][0](kwargs[i], ctx)
             summary_name = f"{cfg.names[i]}_summary.json"
             with open(outdir / summary_name, "w") as fh:
                 json.dump({"name": cfg.names[i], **summary}, fh,

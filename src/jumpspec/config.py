@@ -15,7 +15,6 @@ from pathlib import Path
 import yaml
 
 from .detector import DetectorParams
-from .sequencer import ExperimentConfig
 from .spinmodel import CavityParams, SpinParams
 
 _PREFIXES = {
@@ -59,6 +58,14 @@ def parse_quantity(value, path: str = "value") -> float:
 
 
 @dataclass(frozen=True)
+class ExperimentConfig:
+    """Named protocol with its parameters, as the config gives them."""
+
+    protocol: str
+    params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything needed to execute a simulation run."""
 
@@ -80,9 +87,7 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
-def _quantity(mapping, key, path, default=None):
-    if default is not None and key not in mapping:
-        return default
+def _quantity(mapping, key, path):
     return parse_quantity(_require(mapping, key, path), f"{path}.{key}")
 
 
@@ -112,13 +117,14 @@ def _cavity(node, path) -> CavityParams:
 def _detector(node, path) -> DetectorParams:
     epsilon = _quantity(node, "epsilon", path)
     # an intrinsic detector efficiency multiplies the spin efficiency
-    epsilon *= _quantity(node, "intrinsic_efficiency", path, default=1.0)
-    gamma_dc = _quantity(node, "dark_rate", path, default=150.0)
-    cycle = _quantity(node, "cycle", path, default=17e-6)
-    dead = _quantity(node, "dead", path, default=2e-6)
+    if "intrinsic_efficiency" in node:
+        epsilon *= _quantity(node, "intrinsic_efficiency", path)
+    # a field left out takes its DetectorParams default
+    given = {name: _quantity(node, key, path) for key, name in
+             (("dark_rate", "gamma_dc"), ("cycle", "cycle"), ("dead", "dead"))
+             if key in node}
     try:
-        return DetectorParams(epsilon=epsilon, gamma_dc=gamma_dc,
-                              cycle=cycle, dead=dead)
+        return DetectorParams(epsilon=epsilon, **given)
     except ValueError as exc:
         raise ConfigError(path, str(exc)) from None
 

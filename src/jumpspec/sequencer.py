@@ -18,7 +18,7 @@ per repetition; every ``Spectrum`` still gets its own offsets array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,14 +44,6 @@ READOUT_FWHM = 80e-6
 #: plateau Rabi frequency (rad/s) and edge (s) of a forbidden pi pulse
 FORBIDDEN_RABI = TWO_PI * 15e3
 FORBIDDEN_EDGE = 5e-6
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Named protocol with its keyword parameters (CLI dispatch unit)."""
-
-    protocol: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,10 @@ from click.testing import CliRunner
 from jumpspec.cli import PROTOCOLS, main
 from jumpspec.config import (ConfigError, load_config, parse_config,
                              parse_quantity)
+from jumpspec.detector import DetectorParams
 
-SHIPPED_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_DIR = ROOT / "configs"
 
 MINIMAL = """
 seed: 3
@@ -65,6 +68,8 @@ def test_parse_config_roundtrip():
     assert cfg.system.omega_i == pytest.approx(-2 * math.pi * 788.1e3)
     assert cfg.cavity.kappa == pytest.approx(2 * math.pi * 640e3)
     assert cfg.detector.epsilon == 0.18
+    # the fields a config leaves out take DetectorParams' defaults
+    assert cfg.detector == DetectorParams(epsilon=0.18)
     assert cfg.experiments == ()
 
 
@@ -154,7 +159,9 @@ def test_run_unknown_protocol_leaves_no_partial_outputs(tmp_path):
      "n_averages: 1, t_int: 100 us, t2: 1 ms}}", "t2"),
     ("{name: spec, protocol: ramsey, params: {tau_points: 2, "
      "n_averages: 1, t_int: 100 uss}}", "t_int"),
-], ids=["typo", "other_protocol", "misspelt_unit"])
+    ("{name: spec, protocol: rabi, params: {tau_values: [0 us, 10 us], "
+     "tau_min: 5 us, n_averages: 1, t_int: 100 us}}", "tau_min"),
+], ids=["typo", "other_protocol", "misspelt_unit", "values_and_range"])
 def test_run_unknown_parameter_fails_with_its_path(tmp_path, experiment,
                                                    key):
     """A parameter the protocol does not read (a typo, or a parameter of
@@ -201,6 +208,56 @@ def test_run_unknown_parameter_fails_before_the_run(tmp_path, monkeypatch,
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert err["path"] == "experiments[0].params.n_shot"
+
+
+@pytest.mark.parametrize("protocol,params,key", [
+    ("readout", "{n_shots: 2.5, n_ro_values: [2]}", "n_shots"),
+    ("rabi", "{tau_points: 2.7, n_averages: 1, t_int: 100 us}", "tau_points"),
+    ("readout", "{n_ro_values: [2.9], n_shots: 1}", "n_ro_values[0]"),
+    ("rabi", "{tau_points: 2, n_averages: 0}", "n_averages"),
+    ("trace", "{n_averages: 0, span: 4 kHz}", "n_averages"),
+    ("tracking", "{n_iter: 0}", "n_iter"),
+    ("eldor", "{n_shots: 0, delta_points: 1, n_ro: 1}", "n_shots"),
+    ("dnp", "{n_shots: 0}", "n_shots"),
+    ("readout", "{n_shots: 0, n_ro_values: [2]}", "n_shots"),
+    ("spectroscopy", "{n_spectra: 0, span: 4 kHz}", "n_spectra"),
+    ("rabi", "{tau_points: 0}", "tau_points"),
+    ("spectroscopy", "{span: wide}", "span"),
+    ("readout", "{n_shots: many}", "n_shots"),
+], ids=["fractional_shots", "fractional_points", "fractional_depth",
+        "zero_averages_rabi", "zero_averages_trace", "zero_iterations",
+        "zero_shots_eldor", "zero_shots_dnp", "zero_shots_readout",
+        "zero_spectra", "zero_points", "label_for_a_number",
+        "label_for_a_count"])
+def test_run_bad_number_fails_with_its_path(tmp_path, protocol, params, key):
+    """A count must be a whole number of at least 1, and a label stands
+    only where the protocol takes one; anything else fails as a config
+    error at its path, before anything is written, instead of running
+    truncated, writing NaN or failing as a runtime error."""
+    exps = f"[{{name: x, protocol: {protocol}, params: {params}}}]"
+    cfg_file = tmp_path / "run.yaml"
+    cfg_file.write_text(config_text(out=str(tmp_path / "out"),
+                                    experiments=exps))
+    result = CliRunner().invoke(main, ["run", str(cfg_file)])
+    assert result.exit_code == 1, result.output
+    err = json.loads(result.stderr.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert err["path"] == f"experiments[0].params.{key}"
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_table_lists_each_protocols_parameters():
+    """README's parameter table names exactly the parameters that each
+    protocol declares."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| protocol | parameters |")[1].split("\n\n")[0]
+    listed = {}
+    for row in table.strip().splitlines()[1:]:
+        protocols, names = row.strip("|").split("|")
+        for protocol in re.findall(r"`(\w+)`", protocols):
+            listed[protocol] = set(re.findall(r"`(\w+)`", names))
+    assert listed == {protocol: set(params)
+                      for protocol, (_, params) in PROTOCOLS.items()}
 
 
 def test_run_report_and_reproducibility(tmp_path):
