@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 
 from .detector import DetectorParams, FluorescenceCurve, fluorescence_curve
 from .dynamics import (NO_NOISE, NoiseModel, PulseSegment, SystemState,
-                       Trajectory, apply_pulse, gaussian_pi,
-                       run_trajectories, trajectory_rng, wait)
+                       apply_pulse, gaussian_pi, trajectory_rng, wait)
 from .lattice import (CrystalModel, FieldOrientation, angle_sweep,
                       assign_site, dipolar_coupling, load_structure)
 from .spinmodel import (CavityParams, SpinParams, SpinSystem, Transition,
@@ -19,9 +18,8 @@ __all__ = [
     "CavityParams", "SpinParams", "SpinSystem", "Transition", "build_system",
     "cavity_filter", "drive_filter", "forbidden_rabi", "purcell_rate",
     "DetectorParams", "FluorescenceCurve", "fluorescence_curve",
-    "NO_NOISE", "NoiseModel", "PulseSegment", "SystemState", "Trajectory",
-    "apply_pulse", "gaussian_pi", "run_trajectories", "trajectory_rng",
-    "wait",
+    "NO_NOISE", "NoiseModel", "PulseSegment", "SystemState", "apply_pulse",
+    "gaussian_pi", "trajectory_rng", "wait",
     "CrystalModel", "FieldOrientation", "angle_sweep", "assign_site",
     "dipolar_coupling", "load_structure",
 ]

@@ -83,6 +83,31 @@ def _number(value, path, least=None):
     return value if least is None else int(value)
 
 
+def _positive(value, path):
+    """A finite number above 0: a duration, span or step."""
+    if _number(value, path) <= 0:
+        raise ConfigError(path, f"expected a positive number, got {value!r}")
+    return value
+
+
+def _label(value, path, valid):
+    """One of the labels ``valid``."""
+    if value not in valid:
+        raise ConfigError(path, f"expected one of {', '.join(valid)}, "
+                          f"got {value!r}")
+    return value
+
+
+def _noise(value, path, name):
+    """The noise model of one channel; the library checks the value, and
+    its error gets the path."""
+    number = _number(value, path)
+    try:
+        return sequencer.NoiseModel(**{name: number})
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from None
+
+
 def _each(read):     # a list, element by element; one value is a list of one
     return lambda value, path: (
         [read(v, f"{path}[{i}]") for i, v in enumerate(value)]
@@ -95,20 +120,25 @@ _READ = {
     **dict.fromkeys(("n_spectra", "n_averages", "n_shots", "n_ro", "n_iter",
                      "tau_points", "delta_points", "theta_points"), _COUNT),
     **dict.fromkeys(("initial_level", "n_prep"), _INDEX),
-    **dict.fromkeys(("transition", "prepare", "target"), lambda v, path: v),
+    **dict.fromkeys(("span", "step", "t_int", "t_d", "duration", "pulse_fwhm",
+                     "t_iter"), _positive),
+    **dict.fromkeys(("prepare", "target"),
+                    partial(_label, valid=tuple(sequencer.DNP_BRANCH))),
     **dict.fromkeys(("tau_values", "delta_values"), _each(_number)),
     **dict.fromkeys(("center", "amplitude"),      # Hz -> rad/s
                     lambda v, path: TWO_PI * _number(v, path)),
     "n_ro_values": _each(_COUNT), "n_prep_values": _each(_INDEX),
-    "t2_star": lambda v, path: sequencer.NoiseModel(t2_star=_number(v, path)),
-    "t2": lambda v, path: sequencer.NoiseModel(t2=_number(v, path))}
+    "t2_star": partial(_noise, name="t2_star"),
+    "t2": partial(_noise, name="t2")}
 #: the library keywords that differ from the config names
 _KEYWORD = {"span": "span_hz", "step": "step_hz", "detuning": "detuning_hz",
             "t2_star": "noise", "t2": "noise", "theta_points": "n_points"}
 
 
-def _read_params(exp: ExperimentConfig, index: int) -> dict:
-    """The keywords of ``exp``'s checked parameters and of the CLI defaults."""
+def _read_params(exp: ExperimentConfig, index: int,
+                 system: SpinSystem) -> dict:
+    """The keywords of ``exp``'s checked parameters and of the CLI defaults;
+    a ``transition`` must name one of ``system``'s."""
     if exp.protocol not in PROTOCOLS:
         raise ConfigError(f"experiments[{index}].protocol",
                           f"unknown protocol {exp.protocol!r}")
@@ -121,7 +151,9 @@ def _read_params(exp: ExperimentConfig, index: int) -> dict:
         if name.endswith(("_min", "_max", "_points")) and grid in exp.params:
             raise ConfigError(f"{path}.{name}", f"not read with {grid} given")
     given = {k: v for k, v in declared.items() if v is not None} | exp.params
-    return {_KEYWORD.get(k, k): _READ.get(k, _number)(v, f"{path}.{k}")
+    read = _READ | {"transition": partial(
+        _label, valid=[t.label for t in system.transitions])}
+    return {_KEYWORD.get(k, k): read.get(k, _number)(v, f"{path}.{k}")
             for k, v in given.items()}
 
 
@@ -310,11 +342,12 @@ PROTOCOLS = {
 
 
 def _execute(cfg: RunConfig, config_bytes: bytes) -> Path:
+    system = build_system(cfg.system, cfg.cavity)
     # every experiment's parameters are checked before any of them runs
-    kwargs = [_read_params(exp, i) for i, exp in enumerate(cfg.experiments)]
+    kwargs = [_read_params(exp, i, system)
+              for i, exp in enumerate(cfg.experiments)]
     outdir = Path(cfg.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    system = build_system(cfg.system, cfg.cavity)
     try:
         file_lists = []
         for i, exp in enumerate(cfg.experiments):

@@ -44,12 +44,6 @@ class DetectorParams:
         return 1.0 - self.dead / self.cycle
 
 
-def _emission_times(shot) -> np.ndarray:
-    if hasattr(shot, "emission_times"):
-        return shot.emission_times()
-    return np.asarray(shot, dtype=float)
-
-
 def count_window(emissions, window, p: DetectorParams, rng) -> int:
     """Clicks in [t0, t1): detected emissions plus Poisson dark counts.
 
@@ -88,7 +82,8 @@ class FluorescenceCurve:
 
 def fluorescence_curve(ensemble, bin_width: float, p: DetectorParams, rng,
                        t_max: float | None = None) -> FluorescenceCurve:
-    """Histogram detected emissions over an ensemble of shots.
+    """Histogram the detected emissions of ``ensemble``, an iterable of
+    shots, each an iterable of emission times (s).
 
     The background-subtracted integral of ``rate`` estimates the
     detection efficiency per emission; the flat offset estimates the
@@ -96,7 +91,7 @@ def fluorescence_curve(ensemble, bin_width: float, p: DetectorParams, rng,
     """
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    shots = [_emission_times(s) for s in ensemble]
+    shots = [np.asarray(s, dtype=float) for s in ensemble]
     if t_max is None:
         t_max = max((s.max() for s in shots if s.size), default=bin_width)
     n_bins = max(1, int(np.ceil(t_max / bin_width)))

@@ -207,17 +207,6 @@ class JumpEvent:
     photon = True
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    events: tuple[JumpEvent, ...]
-    windows: tuple[tuple[float, float], ...]
-    final_level: int
-    final_time: float
-
-    def emission_times(self) -> np.ndarray:
-        return np.array([e.time for e in self.events])
-
-
 class _Decay:
     """Relaxation out of one level: one photon-emitting branch per
     radiative channel."""
@@ -690,8 +679,9 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
     With q = 1 - ``plan.p_step`` of the upper level, the survival after i
     no-jump steps is p_lower + p_upper q**i, so one uniform u decides the
     segment: it is jump-free when u is at most the end survival, and
-    otherwise jumps at the first step whose survival falls below u, the
-    one case that forms the survival of every step. The end coherence is
+    otherwise jumps at the first step whose survival falls below u, found
+    in closed form as floor(log((u - p_lower) / p_upper) / log q), kept
+    inside the segment against rounding. The end coherence is
     (x, y) rotated by the detuning times the segment length and scaled by
     (sqrt(q) t2_decay)**n over the end survival. A jump back to the lower
     level leaves the pole, which no longer decays or precesses; like every
@@ -713,9 +703,8 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
         upper_end = p_upper * q ** n
         norm = p_lower + upper_end
         if u > norm:
-            rows = p_lower + p_upper * q ** np.arange(1, n + 1)
-            rows[-1] = norm     # numpy's power may round apart from q ** n
-            i = _first_hit(rows < u)
+            i = min(int(math.log((u - p_lower) / p_upper) / math.log(q)),
+                    n - 1)
             state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
@@ -849,27 +838,3 @@ def _pair_frequency(sys: SpinSystem, pair) -> float:
 def trajectory_rng(seed: int, index: int):
     """Counter-based stream: independent per trajectory, reproducible."""
     return np.random.Generator(np.random.Philox(key=[seed, index]))
-
-
-def run_trajectories(n: int, schedule, sys: SpinSystem, seed: int,
-                     noise: NoiseModel = NO_NOISE,
-                     initial_level: int = 0) -> list[Trajectory]:
-    """n independent shots of the schedule; deterministic given the seed."""
-    if n < 1:
-        raise ValueError("need at least one trajectory")
-    out = []
-    for index in range(n):
-        rng = trajectory_rng(seed, index)
-        state = SystemState(level=initial_level,
-                            shot_offset=noise.shot_offset(rng))
-        events: list[JumpEvent] = []
-        windows: list[tuple[float, float]] = []
-        for seg in schedule:
-            t0 = state.time
-            events += apply_pulse(state, seg, sys, rng, noise)
-            if seg.kind == "detect_window":
-                windows.append((t0, state.time))
-        _collapse(state, rng)
-        out.append(Trajectory(events=tuple(events), windows=tuple(windows),
-                              final_level=state.level, final_time=state.time))
-    return out

@@ -45,6 +45,9 @@ READOUT_FWHM = 80e-6
 FORBIDDEN_RABI = TWO_PI * 15e3
 FORBIDDEN_EDGE = 5e-6
 
+#: the forbidden line a polarization train pumps, by target nuclear state
+DNP_BRANCH = {"d": "zero_quantum", "u": "double_quantum"}
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -235,12 +238,11 @@ def forbidden_pi(sys: SpinSystem, branch: str) -> PulseSegment:
 def _dnp_train(sys: SpinSystem, target: str,
                n_prep: int) -> tuple[PulseSegment, ...]:
     """The pulse train of :func:`dnp_prepare`."""
-    if target not in ("d", "u"):
+    if target not in DNP_BRANCH:
         raise ValueError("target nuclear state must be 'd' or 'u'")
-    branch = "zero_quantum" if target == "d" else "double_quantum"
     gamma = sys.gamma_r
     relax = wait(3.0 / gamma if gamma > 0 else 1e-3)
-    return (forbidden_pi(sys, branch), relax) * n_prep
+    return (forbidden_pi(sys, DNP_BRANCH[target]), relax) * n_prep
 
 
 def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
@@ -252,9 +254,12 @@ def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
     pumps the double-quantum line. Each pulse is a :func:`forbidden_pi`
     (plateau Rabi frequency ``FORBIDDEN_RABI``, 2*pi * 15 kHz), followed
     by a relaxation wait of 3 electron lifetimes (1 ms without decay).
+    A coherence the train leaves is collapsed, so ``state`` returns on a
+    definite level.
     """
     train = _dnp_train(sys, target, n_prep)
     _run(state, train, sys, None, rng, noise)
+    dyn._collapse(state, rng)
 
 
 def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,

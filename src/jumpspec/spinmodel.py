@@ -143,7 +143,8 @@ class SpinSystem:
         for t in self.transitions:
             if t.label == label:
                 return t
-        raise KeyError(label)
+        raise KeyError(f"no transition {label!r}; the labels are "
+                       + ", ".join(t.label for t in self.transitions))
 
     def allowed_transitions(self) -> list[Transition]:
         return [t for t in self.transitions if t.is_allowed]

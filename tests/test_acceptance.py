@@ -12,9 +12,8 @@ import pytest
 from scipy import stats
 
 from jumpspec import analysis, fitting, sequencer
-from jumpspec.detector import DetectorParams, fluorescence_curve
-from jumpspec.dynamics import (SystemState, apply_pulse, gaussian_pi,
-                               run_trajectories, trajectory_rng, wait)
+from jumpspec.detector import DetectorParams
+from jumpspec.dynamics import SystemState, apply_pulse, trajectory_rng, wait
 from jumpspec.lattice import FieldOrientation, dipolar_coupling, load_structure
 from jumpspec.spinmodel import (CavityParams, SpinParams,
                                 ac_zeeman_frequencies, build_system,
@@ -315,10 +314,12 @@ def test_11_statistical_suites():
         branch_ok &= abs(n_obs - len(labels) * p) <= 4.0 * max(sigma, 1.0)
 
     # bit-exact determinism
-    sched = [gaussian_pi(sys.transition("allowed_d").frequency), wait(4e-3)]
-    a = run_trajectories(40, sched, sys, seed=112, initial_level=1)
-    b = run_trajectories(40, sched, sys, seed=112, initial_level=1)
-    det_ok = a == b
+    def rabi():
+        return sequencer.rabi_experiment(
+            sys, DetectorParams(), 112, transition="allowed_d",
+            amplitude=TWO_PI * 50e3, durations=[0.0, 5e-6, 10e-6],
+            n_averages=40)
+    det_ok = np.array_equal(rabi(), rabi())
 
     ok = ks_ok and branch_ok and det_ok
     assert report("statistical suites", ok,

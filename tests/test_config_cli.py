@@ -210,30 +210,52 @@ def test_run_unknown_parameter_fails_before_the_run(tmp_path, monkeypatch,
     assert err["path"] == "experiments[0].params.n_shot"
 
 
-@pytest.mark.parametrize("protocol,params,key", [
-    ("readout", "{n_shots: 2.5, n_ro_values: [2]}", "n_shots"),
-    ("rabi", "{tau_points: 2.7, n_averages: 1, t_int: 100 us}", "tau_points"),
-    ("readout", "{n_ro_values: [2.9], n_shots: 1}", "n_ro_values[0]"),
-    ("rabi", "{tau_points: 2, n_averages: 0}", "n_averages"),
-    ("trace", "{n_averages: 0, span: 4 kHz}", "n_averages"),
-    ("tracking", "{n_iter: 0}", "n_iter"),
-    ("eldor", "{n_shots: 0, delta_points: 1, n_ro: 1}", "n_shots"),
-    ("dnp", "{n_shots: 0}", "n_shots"),
-    ("readout", "{n_shots: 0, n_ro_values: [2]}", "n_shots"),
-    ("spectroscopy", "{n_spectra: 0, span: 4 kHz}", "n_spectra"),
-    ("rabi", "{tau_points: 0}", "tau_points"),
-    ("spectroscopy", "{span: wide}", "span"),
-    ("readout", "{n_shots: many}", "n_shots"),
+COUNT = "whole number of at least 1"
+
+
+@pytest.mark.parametrize("protocol,params,key,message", [
+    ("readout", "{n_shots: 2.5, n_ro_values: [2]}", "n_shots", COUNT),
+    ("rabi", "{tau_points: 2.7, n_averages: 1, t_int: 100 us}", "tau_points",
+     COUNT),
+    ("readout", "{n_ro_values: [2.9], n_shots: 1}", "n_ro_values[0]", COUNT),
+    ("rabi", "{tau_points: 2, n_averages: 0}", "n_averages", COUNT),
+    ("trace", "{n_averages: 0, span: 4 kHz}", "n_averages", COUNT),
+    ("tracking", "{n_iter: 0}", "n_iter", COUNT),
+    ("eldor", "{n_shots: 0, delta_points: 1, n_ro: 1}", "n_shots", COUNT),
+    ("dnp", "{n_shots: 0}", "n_shots", COUNT),
+    ("readout", "{n_shots: 0, n_ro_values: [2]}", "n_shots", COUNT),
+    ("spectroscopy", "{n_spectra: 0, span: 4 kHz}", "n_spectra", COUNT),
+    ("rabi", "{tau_points: 0}", "tau_points", COUNT),
+    ("spectroscopy", "{span: wide}", "span", "finite number"),
+    ("readout", "{n_shots: many}", "n_shots", COUNT),
+    ("rabi", "{transition: bogus}", "transition", "allowed_d, got 'bogus'"),
+    ("dnp", "{target: x}", "target", "one of d, u, got 'x'"),
+    ("eldor", "{prepare: x}", "prepare", "one of d, u, got 'x'"),
+    ("spectroscopy", "{span: 0}", "span", "positive"),
+    ("spectroscopy", "{step: 0}", "step", "positive"),
+    ("spectroscopy", "{t_int: -1 ms}", "t_int", "positive"),
+    ("readout", "{t_d: 0}", "t_d", "positive"),
+    ("eldor", "{duration: 0}", "duration", "positive"),
+    ("trace", "{pulse_fwhm: -80 us}", "pulse_fwhm", "positive"),
+    ("tracking", "{t_iter: 0}", "t_iter", "positive"),
+    ("ramsey", "{t2_star: -1 us}", "t2_star", "non-negative"),
+    ("echo", "{t2: -1 us}", "t2", "non-negative"),
 ], ids=["fractional_shots", "fractional_points", "fractional_depth",
         "zero_averages_rabi", "zero_averages_trace", "zero_iterations",
         "zero_shots_eldor", "zero_shots_dnp", "zero_shots_readout",
         "zero_spectra", "zero_points", "label_for_a_number",
-        "label_for_a_count"])
-def test_run_bad_number_fails_with_its_path(tmp_path, protocol, params, key):
-    """A count must be a whole number of at least 1, and a label stands
-    only where the protocol takes one; anything else fails as a config
-    error at its path, before anything is written, instead of running
-    truncated, writing NaN or failing as a runtime error."""
+        "label_for_a_count", "unknown_transition", "unknown_target",
+        "unknown_prepare", "zero_span", "zero_step", "negative_t_int",
+        "zero_t_d", "zero_duration", "negative_pulse_fwhm", "zero_t_iter",
+        "negative_t2_star", "negative_t2"])
+def test_run_bad_number_fails_with_its_path(tmp_path, protocol, params, key,
+                                            message):
+    """A count must be a whole number of at least 1, a duration, span or
+    step a positive number, and a label one the library takes (the
+    system's transitions, the polarization targets), standing only where
+    the protocol takes one; anything else fails as a config error at its
+    path that says what is valid, before anything is written, instead of
+    running truncated, writing NaN or failing as a runtime error."""
     exps = f"[{{name: x, protocol: {protocol}, params: {params}}}]"
     cfg_file = tmp_path / "run.yaml"
     cfg_file.write_text(config_text(out=str(tmp_path / "out"),
@@ -243,6 +265,7 @@ def test_run_bad_number_fails_with_its_path(tmp_path, protocol, params, key):
     err = json.loads(result.stderr.strip().splitlines()[-1])
     assert err["error"] == "config"
     assert err["path"] == f"experiments[0].params.{key}"
+    assert message in err["message"]
     assert not (tmp_path / "out").exists()
 
 

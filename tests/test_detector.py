@@ -82,16 +82,6 @@ def test_fluorescence_curve_recovers_decay_rate():
     assert eps_eff == pytest.approx(p.epsilon * p.live_fraction, rel=0.15)
 
 
-def test_fluorescence_curve_accepts_trajectories():
-    from jumpspec.dynamics import Trajectory, JumpEvent
-    tr = Trajectory(events=(JumpEvent(time=1e-4, label="allowed_d"),),
-                    windows=(), final_level=0, final_time=1e-3)
-    p = DetectorParams(epsilon=1.0, gamma_dc=0.0, dead=0.0)
-    curve = fluorescence_curve([tr], bin_width=1e-4, p=p,
-                               rng=np.random.default_rng(6), t_max=1e-3)
-    assert curve.counts.sum() == 1
-
-
 def test_scaled_returns_new_efficiency():
     p = DetectorParams(epsilon=0.18)
     q = replace(p, epsilon=0.18 * 0.79)

@@ -14,8 +14,7 @@ from scipy import stats
 from jumpspec import dynamics as dyn
 from jumpspec.dynamics import (NO_NOISE, AmbiguousDriveError, NoiseModel,
                                PulseSegment, SystemState, apply_pulse,
-                               gaussian_pi, run_trajectories, trajectory_rng,
-                               wait)
+                               gaussian_pi, trajectory_rng, wait)
 from jumpspec.spinmodel import (CavityParams, SpinParams, Transition,
                                 build_system)
 
@@ -69,12 +68,20 @@ def test_branching_fractions(system):
 def test_seed_determinism_bit_exact(system):
     sched = [gaussian_pi(system.transition("allowed_d").frequency),
              wait(3e-3)]
-    a = run_trajectories(50, sched, system, seed=9, initial_level=1)
-    b = run_trajectories(50, sched, system, seed=9, initial_level=1)
-    for ta, tb in zip(a, b):
-        assert ta == tb
-    c = run_trajectories(50, sched, system, seed=10, initial_level=1)
-    assert any(ta != tc for ta, tc in zip(a, c))
+
+    def shots(seed):
+        out = []
+        for index in range(50):
+            rng = trajectory_rng(seed, index)
+            state = SystemState(level=1)
+            events = [e for seg in sched
+                      for e in apply_pulse(state, seg, system, rng)]
+            out.append((events, state, int(rng.integers(2 ** 32))))
+        return out
+
+    a = shots(9)
+    assert a == shots(9)
+    assert any(sa != sc for sa, sc in zip(a, shots(10)))
 
 
 def test_resonant_pi_pulse_inverts(system):
@@ -362,15 +369,6 @@ def test_drive_rejects_t2_below_its_step(fast_system):
     assert state.bloch is None or state.bloch[:2] == [0.0, 0.0]
 
 
-def test_trajectory_windows_recorded(system):
-    from jumpspec.dynamics import detect
-    sched = [wait(1e-3), detect(2e-3)]
-    trajs = run_trajectories(3, sched, system, seed=23, initial_level=2)
-    for tr in trajs:
-        assert tr.windows == ((1e-3, 3e-3),)
-        assert tr.final_time == pytest.approx(3e-3)
-
-
 @pytest.mark.parametrize("mask", [[False] * 5, [True, False, False],
                                   [False, False, True],
                                   [False, True, False, True, True], [True]])
@@ -636,6 +634,42 @@ def test_survival_rows_fall_from_one(system, fast_system, fast, kind,
                 _assert_survival(rows, end_survival @ v)
         if table.pole_survival is not None:
             assert table.pole_survival == tuple(table.spans[0][3][:2])
+
+
+def _jump_to_level_2(time, rng, events):
+    events.append(time)
+    return 2
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True)
+@given(n=st.integers(1, 3000), p_step=st.floats(1e-9, 0.9),
+       z=st.floats(-1.0, 1.0), w=st.floats(0.0, 1.0, exclude_max=True))
+def test_free_map_jump_step_matches_survival_rows(n, p_step, z, w):
+    """The free map's closed-form first jump step is the first step whose
+    survival p_lower + p_upper q**(i+1) falls below the uniform, the rule
+    an array of every step's survival applies; draws within rounding of a
+    step's survival, where the two may split, are skipped. A unit step
+    stamps a jump in step i at i + 0.5."""
+    q = 1.0 - p_step
+    p_upper = 0.5 * (1.0 + z)
+    p_lower = 1.0 - p_upper
+    norm = p_lower + p_upper * q ** n
+    u = norm + w * (1.0 - norm)
+    assume(u < 1.0)
+    rows = p_lower + p_upper * q ** np.arange(1, n + 1)
+    rows[-1] = norm
+    assume(np.all(np.abs(rows - u) > 1e-12 * u))
+    expected = np.flatnonzero(rows < u)[:1].tolist() if u > norm else []
+    quiet = SimpleNamespace(total=0.0)
+    plan = SimpleNamespace(
+        records=[quiet, SimpleNamespace(total=1.0, jump=_jump_to_level_2),
+                 quiet],
+        p_step=[0.0, p_step, 0.0], n_steps=n, dt=1.0, wall_time=float(n),
+        t2_decay=1.0, frame=0.0)
+    state = SystemState(level=0, bloch=[0.0, 0.0, z], pair=(0, 1))
+    events = dyn._free_map(state, plan, SimpleNamespace(random=lambda: u))
+    assert [int(t) for t in events] == expected
+    assert state.time == n
 
 
 def test_window_photons_lie_inside_the_window(system):

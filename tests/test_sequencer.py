@@ -116,6 +116,22 @@ def test_dnp_polarizes_both_targets(system):
         dnp_prepare(SystemState(level=0), "x", system, trajectory_rng(4, 0))
 
 
+def test_dnp_prepare_ends_on_a_definite_level(system):
+    """The forbidden pi plus its wait often leaves a coherence, while
+    ``state.level`` still names the pole the drive started from; the
+    train collapses it, so the level read afterwards is the shot's. From
+    (1, 'd') one pi drives the pair down to (0, 'u'), so few shots end on
+    'd'."""
+    start = system.level_index(1, "d")
+    on_d = 0
+    for i in range(200):
+        state = SystemState(level=start)
+        dnp_prepare(state, "d", system, trajectory_rng(3, i), n_prep=1)
+        assert state.bloch is None and state.pair is None
+        on_d += system.levels[state.level][1] == "d"
+    assert on_d / 200 < 0.25
+
+
 def test_dnp_monotone_in_pulse_number(system):
     fractions = []
     for n_prep in (1, 2, 4):

@@ -1,4 +1,5 @@
-"""Checks on the package source itself, read as syntax trees."""
+"""Checks on the package source itself: its syntax trees and its public
+names."""
 
 import ast
 from pathlib import Path
@@ -78,3 +79,10 @@ def test_package_imports_no_scipy():
     found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
              for hit in scipy_imports(path.read_text())]
     assert found == []
+
+
+def test_every_public_name_resolves():
+    """``from jumpspec import *`` fetches each name in ``__all__``, so a
+    stale export, left by deleting what it named, would break it."""
+    import jumpspec
+    assert [n for n in jumpspec.__all__ if not hasattr(jumpspec, n)] == []

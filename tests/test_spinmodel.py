@@ -53,6 +53,8 @@ def test_level_ordering_and_labels():
     labels = {t.label for t in sys.transitions}
     assert labels == {"allowed_u", "allowed_d", "double_quantum",
                       "zero_quantum"}
+    with pytest.raises(KeyError, match="'bogus'.*allowed_d"):
+        sys.transition("bogus")
 
 
 def test_allowed_frequencies_split_by_a():
