@@ -416,12 +416,6 @@ def run(config_path, seed):
     click.echo(f"wrote {len(cfg.experiments)} experiment(s) to {outdir}")
 
 
-_REPORT_COLUMNS = ["name", "protocol", "p0", "p0_sigma", "eta", "eta_sigma",
-                   "b_hz", "fidelity", "peak_delta_hz", "peak_sigma_hz",
-                   "p_target_final", "rms_residual_hz", "dip_delta_hz",
-                   "contrast", "n_sites"]
-
-
 @main.command()
 @click.argument("results_dir", type=click.Path())
 def report(results_dir):
@@ -431,16 +425,19 @@ def report(results_dir):
     if not manifest_path.exists():
         _fail("report", FileNotFoundError(f"no manifest in {results}"))
     manifest = json.loads(manifest_path.read_text())
-    rows = []
+    summaries = []
     for exp in manifest["experiments"]:
         summary_file = results / f"{exp['name']}_summary.json"
-        summary = (json.loads(summary_file.read_text())
-                   if summary_file.exists() else {"name": exp["name"]})
-        rows.append([summary.get(col, "") for col in _REPORT_COLUMNS])
-    _write_csv(results / "summary.csv", _REPORT_COLUMNS,
+        summaries.append(json.loads(summary_file.read_text())
+                         if summary_file.exists() else {"name": exp["name"]})
+    # every key any summary holds: name and protocol first, then sorted
+    keys = {key for summary in summaries for key in summary}
+    columns = ["name", "protocol"] + sorted(keys - {"name", "protocol"})
+    rows = [[summary.get(col, "") for col in columns] for summary in summaries]
+    _write_csv(results / "summary.csv", columns,
                [[v if v is not None else "" for v in row] for row in rows])
-    widths = [max(len(str(c)), 10) for c in _REPORT_COLUMNS]
-    click.echo("  ".join(c.ljust(w) for c, w in zip(_REPORT_COLUMNS, widths)))
+    widths = [max(len(str(c)), 10) for c in columns]
+    click.echo("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
     for row in rows:
         cells = ["" if v in (None, "") else
                  (f"{v:.6g}" if isinstance(v, float) else str(v))

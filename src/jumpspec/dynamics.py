@@ -41,7 +41,7 @@ scan a table twice; each depends only on its key (the offset, for a
 table), so either copy serves, and a scan fills every map before it
 marks the table scanned.
 
-Optional dephasing (off by default): a static per-shot detuning
+Optional dephasing (off by default): a static per-pass detuning
 reproducing an exponential Ramsey envelope (t2*), and Markovian
 transverse decay (t2).
 """
@@ -158,8 +158,9 @@ def detect(duration: float) -> PulseSegment:
 class NoiseModel:
     """Optional imperfections; the all-defaults instance is noise-free.
 
-    ``t2_star`` draws a static detuning per shot from a Lorentzian of
-    HWHM 1/t2_star, giving the observed exponential Ramsey envelope.
+    ``t2_star`` draws a static detuning per pass (a shot, a sweep
+    repetition or a readout cycle) from a Lorentzian of HWHM 1/t2_star,
+    giving the observed exponential Ramsey envelope.
     ``t2`` applies Markovian transverse decay during evolution. ``None``
     or 0 switches a channel off.
     """
@@ -190,7 +191,7 @@ class SystemState:
     time: float = 0.0
     bloch: list[float] | None = None         # (x, y, z) of the driven pair
     pair: tuple[int, int] | None = None      # (lower, upper) eigenlevel indices
-    shot_offset: float = 0.0                 # static detuning this shot (rad/s)
+    shot_offset: float = 0.0                 # static detuning this pass (rad/s)
 
     def __post_init__(self):
         # a negative index would read the levels from the end
@@ -610,9 +611,9 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     - no-jump maps: the closed form for an undriven coherence
       (``_free_map``), the drive's tabulated cumulative maps for a driven
       one (``_table_map``). The table sits in the drive's one slot,
-      built for the shot offset of the segment that filled it; a segment
+      built for the pass offset of the segment that filled it; a segment
       under another offset replaces it. Without ``t2_star`` the offset is
-      always 0, and one table serves every shot. A lossy drive's maps run
+      always 0, and one table serves every pass. A lossy drive's maps run
       block by block. One uniform is drawn per jump opportunity: the
       segment, each further block, and each restart after a jump back
       into the pair. The jump falls at the first step whose no-jump
@@ -634,7 +635,7 @@ def apply_pulse(state: SystemState, seg: PulseSegment, sys: SpinSystem,
     plan = _pulse_plan(seg, sys, noise)
     drive = _enter(state, plan, rng)
     if state.pair is None or state.bloch is None:
-        return _relax(state, plan, plan.wall_time, rng)
+        return _relax(state, plan, plan.wall_time, rng, [])
     if drive is None:
         return _free_map(state, plan, rng)
     # one read of the slot: a thread sharing the drive may replace it,
@@ -708,8 +709,8 @@ def _free_map(state: SystemState, plan: _PulsePlan, rng):
             state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 state.time = t0 + (i + 1) * dt
-                return _leave_pair(state, plan, plan.wall_time - (i + 1) * dt,
-                                   rng, events)
+                return _relax(state, plan, plan.wall_time - (i + 1) * dt,
+                              rng, events)
             rng.random()        # the restart's uniform, unused at the pole
             state.bloch = [0.0, 0.0, -1.0]
             state.time = t0 + plan.wall_time
@@ -781,9 +782,8 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
             state.level = record.jump(t0 + (i + 0.5) * plan.dt, rng, events)
             if state.level != drive.pair[0]:
                 state.time = t0 + (i + 1) * plan.dt
-                return _leave_pair(state, plan,
-                                   plan.wall_time - (i + 1) * plan.dt, rng,
-                                   events)
+                return _relax(state, plan,
+                              plan.wall_time - (i + 1) * plan.dt, rng, events)
             v, start, u = table.restarts[i], i + 1, rng.random()
         carry = end
     state.bloch = _bloch(end @ v)
@@ -791,26 +791,21 @@ def _table_map(state: SystemState, plan: _PulsePlan, drive: _LevelDrive,
     return events
 
 
-def _leave_pair(state: SystemState, plan: _PulsePlan, remaining: float, rng,
-                events: list[JumpEvent]) -> list[JumpEvent]:
-    """After a jump out of the pair: population mode for the rest."""
-    state.bloch = None
-    state.pair = None
-    if remaining > 0:
-        events += _relax(state, plan, remaining, rng)
-    return events
+def _relax(state: SystemState, plan: _PulsePlan, duration: float, rng,
+           events: list[JumpEvent]) -> list[JumpEvent]:
+    """Population mode: plain relaxation, its jumps appended to ``events``.
 
-
-def _relax(state: SystemState, plan: _PulsePlan, duration: float,
-           rng) -> list[JumpEvent]:
-    """Population mode: plain relaxation.
-
+    It drops any coherence (the rest of a segment after a jump out of the
+    pair runs here) and returns at once for a non-positive ``duration``.
     Exact for decay out of each occupied level: a level of total rate
     Gamma jumps within the remaining time with probability
     1 - exp(-Gamma*remaining), at a time drawn from the conditional
     exponential distribution, and the new level may decay in turn.
     """
-    events: list[JumpEvent] = []
+    state.bloch = None
+    state.pair = None
+    if duration <= 0:
+        return events
     while True:
         decay = plan.records[state.level]
         if decay.total <= 0:
@@ -822,8 +817,6 @@ def _relax(state: SystemState, plan: _PulsePlan, duration: float,
         # the remaining time
         t_jump = state.time + (-math.log1p(-u)) / decay.total
         state.level = decay.jump(t_jump, rng, events)
-        state.bloch = None
-        state.pair = None
         duration = state.time + duration - t_jump
         state.time = t_jump
     state.time += duration

@@ -6,10 +6,11 @@ forbidden pulse trains, Rabi/Ramsey/echo characterization, and the
 closed-loop frequency tracker.
 
 Each protocol compiles its schedule (a tuple of segments) once per call
-and runs every shot through :func:`_run`. Compiling applies the skip
-rule: a pulse with no transition within its bandwidth (excitation below
-1e-6) becomes an equal-length wait, which keeps long sweeps affordable
-without touching the physics near resonance. A spectroscopy sweep's
+and runs its passes (shots, sweep repetitions, readout cycles) through
+:func:`_run`, which draws each pass's t2* detuning. Compiling applies the
+skip rule: a pulse with no transition within its bandwidth (excitation
+below 1e-6) becomes an equal-length wait, which keeps long sweeps
+affordable without touching the physics near resonance. A spectroscopy sweep's
 offsets and schedule are memoised on the system, keyed by the sweep's
 carriers, pulse width and window, because traces call the sweep once
 per repetition; every ``Spectrum`` still gets its own offsets array.
@@ -102,18 +103,25 @@ def _pulse(sys: SpinSystem, carrier: float, fwhm: float) -> PulseSegment:
 
 
 def _run(state: SystemState, schedule, sys: SpinSystem, det: DetectorParams,
-         rng, noise: NoiseModel) -> list[int]:
-    """One pass over ``schedule``; returns the clicks of each detect window,
-    counted as it closes so the random numbers are drawn in schedule order."""
-    counts = []
-    for seg in schedule:
-        t0 = state.time
-        events = apply_pulse(state, seg, sys, rng, noise)
-        if seg.kind == "detect_window":
-            emissions = [e.time for e in events]
-            counts.append(count_window(emissions, (t0, t0 + seg.duration),
-                                       det, rng))
-    return counts
+         rng, noise: NoiseModel, passes: int = 1) -> list[int]:
+    """``passes`` passes over ``schedule``; returns each detect window's
+    clicks summed over the passes. Each pass first sets its static t2*
+    detuning, ``state.shot_offset = noise.shot_offset(rng)`` (0, undrawn,
+    without t2*). Clicks are counted as each window closes, so draws come
+    in schedule order, into one list folded per window at the end."""
+    clicks = []
+    for _ in range(passes):
+        state.shot_offset = noise.shot_offset(rng)
+        for seg in schedule:
+            t0 = state.time
+            events = apply_pulse(state, seg, sys, rng, noise)
+            if seg.kind == "detect_window":
+                clicks.append(count_window([e.time for e in events],
+                                           (t0, t0 + seg.duration), det, rng))
+    if passes == 1:
+        return clicks
+    n = len(clicks) // passes
+    return [sum(clicks[i::n]) for i in range(n)]
 
 
 def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
@@ -128,14 +136,13 @@ def spectroscopy_sweep(state: SystemState, sys: SpinSystem,
     frequency scan per repetition), so slow state changes show up as
     averaged peak weights. The state persists and is mutated.
     """
+    if n_averages < 1:
+        raise ValueError("need at least one average")
     deltas, schedule = _sweep_schedule(sys, center, span_hz, step_hz,
                                        pulse_fwhm, t_int)
-    counts = np.zeros(deltas.size)
     start = state.time
-    for _ in range(n_averages):
-        if noise.t2_star:
-            state.shot_offset = noise.shot_offset(rng)
-        counts += _run(state, schedule, sys, det, rng, noise)
+    counts = np.array(_run(state, schedule, sys, det, rng, noise, n_averages),
+                      dtype=float)
     return Spectrum(delta_hz=deltas.copy(), counts=counts, center=center,
                     n_averages=n_averages, start_time=start)
 
@@ -199,13 +206,7 @@ def single_shot_readout(state: SystemState, sys: SpinSystem,
     cycle = tuple(seg for line in readout_pair(sys) for seg in
                   (_pulse(sys, line.frequency, READOUT_FWHM), window))
     t_start = state.time
-    c_down = c_up = 0
-    for _ in range(n_ro):
-        if noise.t2_star:
-            state.shot_offset = noise.shot_offset(rng)
-        down, up = _run(state, cycle, sys, det, rng, noise)
-        c_down += down
-        c_up += up
+    c_down, c_up = _run(state, cycle, sys, det, rng, noise, n_ro)
     return CountRecord(c_down=c_down, c_up=c_up, n_ro=n_ro,
                        duration=state.time - t_start)
 
@@ -253,9 +254,9 @@ def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
     nuclear-up ground level relaxes into nuclear-down); ``target="u"``
     pumps the double-quantum line. Each pulse is a :func:`forbidden_pi`
     (plateau Rabi frequency ``FORBIDDEN_RABI``, 2*pi * 15 kHz), followed
-    by a relaxation wait of 3 electron lifetimes (1 ms without decay).
-    A coherence the train leaves is collapsed, so ``state`` returns on a
-    definite level.
+    by a relaxation wait of 3 electron lifetimes (1 ms without decay), and
+    the train draws one t2* detuning. A coherence the train leaves is
+    collapsed, so ``state`` returns on a definite level.
     """
     train = _dnp_train(sys, target, n_prep)
     _run(state, train, sys, None, rng, noise)
@@ -288,7 +289,7 @@ def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
         n_down = 0
         for shot in range(n_shots):
             rng = trajectory_rng(seed, i * n_shots + shot)
-            state = SystemState(level=0, shot_offset=noise.shot_offset(rng))
+            state = SystemState(level=0)
             _run(state, schedule, sys, det, rng, noise)
             rec = single_shot_readout(state, sys, det, rng, n_ro=n_ro,
                                       t_d=t_d, noise=noise)
@@ -322,8 +323,7 @@ def _interference_experiment(sys, det, seed, lower, schedule_fn, taus,
         schedule = (*schedule_fn(tau), window)
         for shot in range(n_averages):
             rng = trajectory_rng(seed, i * n_averages + shot)
-            state = SystemState(level=lower,
-                                shot_offset=noise.shot_offset(rng))
+            state = SystemState(level=lower)
             (clicks,) = _run(state, schedule, sys, det, rng, noise)
             signal[i] += clicks
     return signal / n_averages

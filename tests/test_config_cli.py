@@ -334,9 +334,9 @@ SHIPPED = sorted(SHIPPED_DIR.glob("*.yaml"))
 @pytest.mark.parametrize("config", SHIPPED, ids=lambda path: path.stem)
 def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
     """Every shipped config runs from its own relative output path and
-    reports; the two-experiment trace config and the one-per-protocol
-    config reproduce byte for byte, and the readout config yields the
-    threshold and fidelity it promises."""
+    reports every key of every summary; the two-experiment trace config
+    and the one-per-protocol config reproduce byte for byte, and the
+    readout config yields the threshold and fidelity it promises."""
     output = load_config(config).output
     runs = ("a", "b") if config.stem in ("trace", "protocols") else ("a",)
     for sub in runs:
@@ -356,6 +356,10 @@ def test_shipped_config_runs_and_reports(config, tmp_path, monkeypatch):
     assert first
     for sub in runs[1:]:
         assert data_files(sub) == first
+    header = first["summary.csv"].decode().splitlines()[0].split(",")
+    keys = {key for name, data in first.items()
+            if name.endswith("_summary.json") for key in json.loads(data)}
+    assert header[:2] == ["name", "protocol"] and set(header) == keys
     if config.stem == "readout":
         summary = json.loads(first["readout_summary.json"])
         assert summary.get("threshold") is not None

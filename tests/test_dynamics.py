@@ -454,9 +454,8 @@ def _step_loop(state, plan, drive, rng, per_step=False):
         if jumped:
             state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
-                return dyn._leave_pair(state, plan,
-                                       plan.wall_time - (i + 1) * dt, rng,
-                                       events)
+                return dyn._relax(state, plan,
+                                  plan.wall_time - (i + 1) * dt, rng, events)
             x, y, z = 0.0, 0.0, -1.0
             if not per_step:
                 u, survival = rng.random(), 1.0
@@ -476,7 +475,7 @@ def _via_step_loop(state, seg, sys, rng, noise, per_step=False):
     plan = dyn._pulse_plan(seg, sys, noise)
     drive = dyn._enter(state, plan, rng)
     if state.pair is None or state.bloch is None:
-        return dyn._relax(state, plan, plan.wall_time, rng)
+        return dyn._relax(state, plan, plan.wall_time, rng, [])
     if drive is None:
         drive = SimpleNamespace(
             omega_peak=0.0, ac_shift=0.0, block=plan.n_steps,

@@ -132,6 +132,26 @@ def test_dnp_prepare_ends_on_a_definite_level(system):
     assert on_d / 200 < 0.25
 
 
+def test_dnp_prepare_draws_the_t2_star_detuning(system):
+    """Each train draws its own static detuning under t2*. At t2* = 1 us
+    (a Lorentzian of 160 kHz HWHM) most trains miss the forbidden line,
+    which the noise-free train pumps."""
+    def run(noise):
+        offsets, on_d = set(), 0
+        for i in range(400):
+            state = SystemState(level=i % 4)
+            dnp_prepare(state, "d", system, trajectory_rng(5, i), n_prep=2,
+                        noise=noise)
+            offsets.add(state.shot_offset)
+            on_d += system.levels[state.level][1] == "d"
+        return offsets, on_d / 400
+
+    offsets, clean = run(NoiseModel())
+    assert offsets == {0.0} and clean > 0.9
+    offsets, noisy = run(NoiseModel(t2_star=1e-6))
+    assert len(offsets) == 400 and noisy < 0.7
+
+
 def test_dnp_monotone_in_pulse_number(system):
     fractions = []
     for n_prep in (1, 2, 4):
@@ -255,6 +275,14 @@ def test_readout_requires_cycles(system, detector):
     with pytest.raises(ValueError):
         single_shot_readout(SystemState(level=0), system, detector,
                             trajectory_rng(7, 0), n_ro=0)
+
+
+def test_sweep_requires_averages(system, detector):
+    """A sweep with no pass has no counts to average."""
+    with pytest.raises(ValueError, match="at least one average"):
+        spectroscopy_sweep(SystemState(level=0), system, detector,
+                           trajectory_rng(7, 0),
+                           center=system.params.omega_s, n_averages=0)
 
 
 # ---------------------------------------------------------------------------
@@ -476,3 +504,34 @@ def test_every_segment_and_window_goes_through_the_traced_names(
     rec = single_shot_readout(state, system, detector, rng, n_ro=7)
     assert calls == {"apply_pulse": 4 * 7, "count_window": 2 * 7,
                      "clicks": rec.c_down + rec.c_up}
+    # n shots per point, one window a shot: Rabi has no pulse at 0, and
+    # Ramsey runs 3 segments, echo 5, before the window
+    n, taus = 4, [0.0, 5e-6, 10e-6]
+    interference = {
+        "rabi": (1 + 2 + 2, lambda: rabi_experiment(
+            system, detector, 45, transition="allowed_d",
+            amplitude=TWO_PI * 50e3, durations=taus, n_averages=n)),
+        "ramsey": (3 * 4, lambda: ramsey_experiment(
+            system, detector, 46, transition="allowed_d", delays=taus,
+            n_averages=n, noise=T2_STAR)),
+        "echo": (3 * 6, lambda: echo_experiment(
+            system, detector, 47, transition="allowed_d", delays=taus,
+            n_averages=n, noise=T2_STAR)),
+    }
+    for name, (segments, run) in interference.items():
+        calls.update(apply_pulse=0, count_window=0, clicks=0)
+        signal = run()
+        assert calls == {"apply_pulse": n * segments,
+                         "count_window": n * len(taus),
+                         "clicks": pytest.approx(n * signal.sum())}, name
+    # per shot: the train's 2 * n_prep segments, the pulse, the settle
+    # wait, then n_ro readout cycles of 4 segments and 2 windows
+    calls.update(apply_pulse=0, count_window=0, clicks=0)
+    eldor_scan(system, detector, 48, deltas_hz=[-20e3, 0.0],
+               amplitude=TWO_PI * 200e3, duration=20e-6, prepare="u",
+               n_prep=2, n_shots=3, n_ro=5, noise=T2_STAR)
+    assert (calls["apply_pulse"], calls["count_window"]) == (
+        2 * 3 * (2 * 2 + 2 + 4 * 5), 2 * 3 * 2 * 5)
+    calls.update(apply_pulse=0, count_window=0, clicks=0)
+    dnp_prepare(state, "d", system, rng, n_prep=3, noise=T2_STAR)
+    assert calls == {"apply_pulse": 2 * 3, "count_window": 0, "clicks": 0}

@@ -81,6 +81,50 @@ def test_package_imports_no_scipy():
     assert found == []
 
 
+def pass_offset_writes(source: str) -> list[str]:
+    """``function line N`` for each store to an attribute ``shot_offset``
+    and each call argument ``shot_offset=``, named by the innermost
+    ``def`` or ``class`` around it (``<module>`` at the top level)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            stored = (isinstance(child, ast.Attribute)
+                      and child.attr == "shot_offset"
+                      and isinstance(child.ctx, ast.Store))
+            passed = (isinstance(child, ast.keyword)
+                      and child.arg == "shot_offset")
+            if stored or passed:
+                found.append(f"{where} line {child.lineno}")
+            scope = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            visit(child, child.name if isinstance(child, scope) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_checker_flags_a_pass_offset_write():
+    source = ("state.shot_offset = 1.0\n"
+              "class C:\n"
+              "    shot_offset: float = 0.0\n"
+              "    def f(self, s):\n"
+              "        s.shot_offset += self.shot_offset\n"
+              "        def g():\n"
+              "            return SystemState(level=0, shot_offset=2.0)\n"
+              "        return s.shot_offset\n")
+    assert pass_offset_writes(source) == ["<module> line 1", "f line 5",
+                                          "g line 7"]
+
+
+def test_only_the_runner_sets_the_pass_offset():
+    """Each pass's static detuning is decided in one place: the runner
+    draws it as the pass starts. Tests may still set it directly."""
+    found = [f"{path.name}: {hit}" for path in sorted(SRC.glob("*.py"))
+             for hit in pass_offset_writes(path.read_text())]
+    assert found and all(hit.startswith("sequencer.py: _run line ")
+                         for hit in found), found
+
+
 def test_every_public_name_resolves():
     """``from jumpspec import *`` fetches each name in ``__all__``, so a
     stale export, left by deleting what it named, would break it."""
