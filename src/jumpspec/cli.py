@@ -218,8 +218,7 @@ def _run_readout(kwargs, ctx: RunContext):
         thr = analysis.readout_threshold(deltas)
         summary.update(threshold=thr.threshold, fidelity=thr.fidelity)
     if len(n_ro_values) >= 5:
-        t_d = kwargs.get("t_d",
-                         sequencer.single_shot_readout.__kwdefaults__["t_d"])
+        t_d = kwargs.get("t_d", sequencer.READOUT_T_D)
         model = analysis.fit_readout_curve(
             n_ro_values, p_success, epsilon=ctx.det.epsilon,
             gamma_dc=ctx.det.gamma_dc, t_d=t_d)
@@ -436,13 +435,13 @@ def report(results_dir):
     rows = [[summary.get(col, "") for col in columns] for summary in summaries]
     _write_csv(results / "summary.csv", columns,
                [[v if v is not None else "" for v in row] for row in rows])
-    widths = [max(len(str(c)), 10) for c in columns]
-    click.echo("  ".join(c.ljust(w) for c, w in zip(columns, widths)))
-    for row in rows:
-        cells = ["" if v in (None, "") else
-                 (f"{v:.6g}" if isinstance(v, float) else str(v))
-                 for v in row]
-        click.echo("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+    cells = [["" if v in (None, "") else
+              (f"{v:.6g}" if isinstance(v, float) else str(v)) for v in row]
+             for row in rows]
+    # each column as wide as its name or its widest cell
+    widths = [max(map(len, column)) for column in zip(columns, *cells)]
+    for line in [columns, *cells]:
+        click.echo("  ".join(c.ljust(w) for c, w in zip(line, widths)))
 
 
 def _parse_range(text):

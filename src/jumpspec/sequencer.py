@@ -8,12 +8,14 @@ closed-loop frequency tracker.
 Each protocol compiles its schedule (a tuple of segments) once per call
 and runs its passes (shots, sweep repetitions, readout cycles) through
 :func:`_run`, which draws each pass's t2* detuning. Compiling applies the
-skip rule: a pulse with no transition within its bandwidth (excitation
-below 1e-6) becomes an equal-length wait, which keeps long sweeps
-affordable without touching the physics near resonance. A spectroscopy sweep's
-offsets and schedule are memoised on the system, keyed by the sweep's
-carriers, pulse width and window, because traces call the sweep once
-per repetition; every ``Spectrum`` still gets its own offsets array.
+skip rule: a pulse with no transition within its bandwidth becomes an
+equal-length wait, which keeps long sweeps affordable without touching
+the physics near resonance (a skipped 80 us pi would have excited its
+nearest line by at most 2.4e-4; see ``SKIP_CUTOFF_SCALE``). A
+spectroscopy sweep's offsets and schedule are memoised on the system,
+keyed by the sweep's carriers, pulse width and window, because traces
+call the sweep once per repetition; every ``Spectrum`` still gets its
+own offsets array.
 """
 
 from __future__ import annotations
@@ -32,8 +34,12 @@ from .spinmodel import SpinSystem, Transition, drive_filter
 
 TWO_PI = 2.0 * math.pi
 
-#: detuning beyond which a Gaussian pulse of FWHM T no longer excites
-#: (numerically, the inversion profile is < 1e-6 past ~1/T)
+#: detuning, in units of 1/T, beyond which a Gaussian pulse of FWHM T is
+#: skipped. The envelope is cut at +-T, so the inversion profile has
+#: sidelobes: the engine's no-jump table for the 80 us pi on a 35 kHz
+#: nucleus gives 7.9e-5 at 12.5 kHz off the line, a sidelobe peak of
+#: 2.4e-4 at 22.25 kHz, the largest on a 0.25 kHz grid from 12.5 to
+#: 150 kHz, and still 1.2e-5 near 103 kHz
 SKIP_CUTOFF_SCALE = 1.0
 
 #: wait between a spectroscopy pulse and its count window (s)
@@ -41,6 +47,9 @@ BLANKING = 80e-6
 
 #: FWHM of the single-shot readout's pi pulses (s)
 READOUT_FWHM = 80e-6
+
+#: count window after each of the single-shot readout's pi pulses (s)
+READOUT_T_D = 2.6e-3
 
 #: plateau Rabi frequency (rad/s) and edge (s) of a forbidden pi pulse
 FORBIDDEN_RABI = TWO_PI * 15e3
@@ -189,7 +198,7 @@ def readout_pair(sys: SpinSystem) -> tuple[Transition, Transition]:
 
 def single_shot_readout(state: SystemState, sys: SpinSystem,
                         det: DetectorParams, rng, *, n_ro: int = 1000,
-                        t_d: float = 2.6e-3,
+                        t_d: float = READOUT_T_D,
                         noise: NoiseModel = NO_NOISE) -> CountRecord:
     """Interleaved pi pulses on both allowed lines, counts per line.
 
@@ -264,9 +273,10 @@ def dnp_prepare(state: SystemState, target: str, sys: SpinSystem, rng, *,
 
 
 def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
-               deltas_hz, amplitude: float, duration: float, edge: float = 5e-6,
-               prepare: str = "d", n_prep: int = 3,
-               n_shots: int = 50, n_ro: int = 120, t_d: float = 2.6e-3,
+               deltas_hz, amplitude: float, duration: float,
+               edge: float = FORBIDDEN_EDGE, prepare: str = "d",
+               n_prep: int = 3, n_shots: int = 50, n_ro: int = 120,
+               t_d: float = READOUT_T_D,
                noise: NoiseModel = NO_NOISE) -> np.ndarray:
     """P(nuclear down) versus drive offset across a forbidden line.
 
@@ -277,6 +287,8 @@ def eldor_scan(sys: SpinSystem, det: DetectorParams, seed: int, *,
     electron frequency (Hz); ``amplitude`` is the input-referred drive
     (allowed-transition Rabi units, rad/s).
     """
+    if n_shots < 1:
+        raise ValueError("need at least one shot")
     deltas_hz = np.asarray(deltas_hz, dtype=float)
     train = _dnp_train(sys, prepare, n_prep)
     settle = wait(5.0 / max(sys.gamma_r, 1.0))
@@ -317,6 +329,8 @@ def rabi_experiment(sys: SpinSystem, det: DetectorParams, seed: int, *,
 def _interference_experiment(sys, det, seed, lower, schedule_fn, taus,
                              n_averages, t_int, noise):
     """Mean clicks after ``schedule_fn(tau)`` from level ``lower``, per tau."""
+    if n_averages < 1:
+        raise ValueError("need at least one average")
     signal = np.zeros(len(taus))
     window = dyn.detect(t_int)
     for i, tau in enumerate(taus):

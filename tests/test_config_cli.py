@@ -420,6 +420,29 @@ def test_report_missing_manifest_errors(tmp_path):
     assert err["error"] == "report"
 
 
+def test_report_table_keeps_cells_under_their_names(tmp_path):
+    """A cell wider than its column's name widens the column, so every
+    row's cells start at the header's column offsets."""
+    summaries = [{"name": "spectroscopy_run", "protocol": "spectroscopy",
+                  "fit_error": "too few points to fit a line", "n_spectra": 1},
+                 {"name": "lock", "protocol": "tracking", "rms_hz": 1234.5678}]
+    (tmp_path / "manifest.json").write_text(json.dumps(
+        {"experiments": [{"name": s["name"]} for s in summaries]}))
+    for s in summaries:
+        (tmp_path / f"{s['name']}_summary.json").write_text(json.dumps(s))
+    result = CliRunner().invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    header, *lines = result.output.splitlines()
+    assert header.split() == ["name", "protocol", "fit_error", "n_spectra",
+                              "rms_hz"]
+    starts = [m.start() for m in re.finditer(r"\S+", header)]
+    cells = [[line[a:b].strip() for a, b in zip(starts, starts[1:] + [None])]
+             for line in lines]
+    assert cells == [["spectroscopy_run", "spectroscopy",
+                      "too few points to fit a line", "1", ""],
+                     ["lock", "tracking", "", "", "1234.57"]]
+
+
 def test_lattice_sweep_command(tmp_path):
     args = ["lattice-sweep", "--theta", "-0.5:0.5:3", "--beta", "0.1"]
     result = CliRunner().invoke(main, args)

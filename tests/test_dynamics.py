@@ -386,8 +386,10 @@ def fast_system():
     return build_system(p, CavityParams.from_hz(7.334e9, 640e3, 45e3))
 
 
-def _step_loop(state, plan, drive, rng, per_step=False):
-    """Per-step propagation of the coherence; the reference for the maps.
+def _step_loop(state, plan, drive, rng):
+    """Per-step propagation of the coherence; the pathwise reference for
+    the maps, whose statistics ``test_oracle.py`` checks against the
+    master equation.
 
     Each step rotates the Bloch vector about the instantaneous drive
     (Rodrigues), applies the t2 factor, and multiplies the running no-jump
@@ -397,9 +399,7 @@ def _step_loop(state, plan, drive, rng, per_step=False):
     uniform is drawn at the start, at the first step of each further
     block of ``drive.block`` steps and after each jump back to the lower
     level, and the jump falls at the first step whose running survival
-    drops below it. With ``per_step`` the loop follows the older rule
-    instead: one pre-drawn uniform per step, compared with that step's
-    hazard; it draws a different stream of the same law.
+    drops below it.
     """
     lower, upper = state.pair
     record, trans_freq = plan.records[upper], drive.trans.frequency
@@ -410,11 +410,8 @@ def _step_loop(state, plan, drive, rng, per_step=False):
     t2_decay = plan.t2_decay
     frame = plan.frame
     jumps = record.total > 0
-    if per_step:
-        uniforms = rng.random(n_steps) if jumps else None
-    else:
-        u = rng.random() if jumps else None
-        survival = 1.0
+    u = rng.random() if jumps else None
+    survival = 1.0
     x, y, z = (float(state.bloch[0]), float(state.bloch[1]),
                float(state.bloch[2]))
     detuning = (frame - trans_freq - state.shot_offset
@@ -422,7 +419,7 @@ def _step_loop(state, plan, drive, rng, per_step=False):
     t0 = state.time
     events = []
     for i in range(n_steps):
-        if jumps and not per_step and i and i % drive.block == 0:
+        if jumps and i and i % drive.block == 0:
             u, survival = rng.random(), 1.0
         env_i = envelope[i]
         wx, wy = omega_peak * env_i, 0.0
@@ -446,19 +443,14 @@ def _step_loop(state, plan, drive, rng, per_step=False):
         if not jumps:
             continue
         p_upper = 0.5 * (1.0 + z)
-        if per_step:
-            jumped = uniforms[i] < p_upper * p_step
-        else:
-            survival *= 1.0 - p_upper * p_step
-            jumped = survival < u
-        if jumped:
+        survival *= 1.0 - p_upper * p_step
+        if survival < u:
             state.level = record.jump(t0 + (i + 0.5) * dt, rng, events)
             if state.level != lower:
                 return dyn._relax(state, plan,
                                   plan.wall_time - (i + 1) * dt, rng, events)
             x, y, z = 0.0, 0.0, -1.0
-            if not per_step:
-                u, survival = rng.random(), 1.0
+            u, survival = rng.random(), 1.0
         else:
             norm = 1.0 - p_upper * p_step
             x *= sqrt_survive / norm
@@ -468,7 +460,7 @@ def _step_loop(state, plan, drive, rng, per_step=False):
     return events
 
 
-def _via_step_loop(state, seg, sys, rng, noise, per_step=False):
+def _via_step_loop(state, seg, sys, rng, noise):
     """``apply_pulse`` through the per-step loop; an undriven segment runs
     it with a zero drive on the carried pair, and one without a coherence
     runs in the engine's population mode."""
@@ -481,7 +473,7 @@ def _via_step_loop(state, seg, sys, rng, noise, per_step=False):
             omega_peak=0.0, ac_shift=0.0, block=plan.n_steps,
             trans=SimpleNamespace(
                 frequency=dyn._pair_frequency(sys, state.pair)))
-    return _step_loop(state, plan, drive, rng, per_step)
+    return _step_loop(state, plan, drive, rng)
 
 
 def _assert_same_shot(state, events, rng, ref, ref_events, ref_rng):
@@ -957,71 +949,3 @@ def test_lossy_drive_keeps_step_loop_precision(fast_system):
                                 for k in steps)
     assert at_block_end > 0
 
-
-def _jump_record(schedule, sys, shots_events):
-    """Per shot: the number of jumps, and the step of the first one on
-    the schedule's concatenated step grids (None without a jump)."""
-    grids = [dyn._time_steps(seg, sys) for seg in schedule]
-    starts = np.cumsum([0.0] + [seg.wall_time for seg in schedule])
-    offsets = np.cumsum([0] + [n for n, _ in grids])
-    counts, first = [], []
-    for per_seg in shots_events:
-        counts.append(sum(len(events) for events in per_seg))
-        step = None
-        for k, events in enumerate(per_seg):
-            if events:
-                dt = grids[k][1]
-                step = int(offsets[k] + (events[0].time - starts[k]) // dt)
-                break
-        first.append(step)
-    return np.array(counts, dtype=float), first
-
-
-def _chi2_pvalue(a, b):
-    """Two-sample chi-squared test of two lists of first-jump steps, on
-    runs of adjacent steps merged until each run holds at least 10 of the
-    pooled jumps."""
-    steps = sorted(set(a) | set(b))
-    ca = np.array([a.count(s) for s in steps])
-    cb = np.array([b.count(s) for s in steps])
-    rows, acc = [], np.zeros(2, dtype=int)
-    for x, y in zip(ca, cb):
-        acc += (x, y)
-        if acc.sum() >= 10:
-            rows.append(acc)
-            acc = np.zeros(2, dtype=int)
-    if rows and acc.sum():
-        rows[-1] = rows[-1] + acc
-    if len(rows) < 2:
-        return 1.0
-    return stats.chi2_contingency(np.array(rows).T).pvalue
-
-
-@pytest.mark.parametrize("name", ["pi", "half_pi", "pi_15khz_off",
-                                  "half_pi_wait", "pi_fast"])
-def test_one_uniform_per_jump_matches_per_step_draws(name):
-    """The engine's one uniform per jump opportunity against the older
-    rule of one uniform per step (the step loop's ``per_step`` mode), on
-    the oracle's cases at 4,000 shots each: the jump probability and the
-    mean jump count agree within 4 sigma, and a chi-squared test on the
-    first jump's step gives p > 1e-3."""
-    from test_oracle import CASES, engine_run
-    sys, schedule, level, seed = CASES[name]
-    engine_events = engine_run(name)[1]
-    ref_events = []
-    for shot in range(len(engine_events)):
-        rng = trajectory_rng(seed + 1000, shot)
-        state = SystemState(level=level)
-        ref_events.append([_via_step_loop(state, seg, sys, rng, NO_NOISE,
-                                          per_step=True)
-                           for seg in schedule])
-    n = len(engine_events)
-    counts, first = _jump_record(schedule, sys, engine_events)
-    ref_counts, ref_first = _jump_record(schedule, sys, ref_events)
-    jumped = np.array([s is not None for s in first], dtype=float)
-    ref_jumped = np.array([s is not None for s in ref_first], dtype=float)
-    for x, y in ((jumped, ref_jumped), (counts, ref_counts)):
-        sigma = math.sqrt((x.var() + y.var()) / n) + 1.0 / n
-        assert abs(x.mean() - y.mean()) < 4.0 * sigma
-    assert _chi2_pvalue([s for s in first if s is not None],
-                        [s for s in ref_first if s is not None]) > 1e-3

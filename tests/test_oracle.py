@@ -3,8 +3,8 @@
 The Lindblad equation of the full spin system, stepped with
 ``scipy.linalg.expm`` on the engine's own grid (``_time_steps``,
 ``_envelope_samples``), is an independent reference for the engine's
-ensemble means: the level populations after each segment and the mean
-number of jumps in each detection window.
+statistics: the level populations after each segment, the mean number of
+jumps in each segment, and the law of the first jump's step.
 
 - Hamiltonian, in the frame rotating at the carrier w_c with the
   electron: diag(E - w_c e), e the electron quantum number, plus
@@ -15,12 +15,18 @@ number of jumps in each detection window.
 - Collapse operators: sqrt(rate) |lower><upper| for each decay channel.
 - The expected jump count is the integral of sum(rate * rho_upper), from
   a counter row appended to the Liouvillian.
+- The first jump follows from the no-jump evolution, the Liouvillian
+  without its recycling terms kron(J, J) (Dalibard, Castin and Molmer,
+  PRL 68, 580, 1992): its counter row gathers the probability that the
+  first jump falls in each step, and its trace at the end is the
+  probability that none falls.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.linalg import expm
 
 from jumpspec import dynamics as dyn
@@ -55,9 +61,10 @@ def _drive_amplitude(seg: PulseSegment, sys) -> float:
 
 
 def _generators(sys):
-    """(dissipator with counter row, Hamiltonian of the drive per unit
-    amplitude, electron numbers) of the vectorised Lindblad equation,
-    row-major: vec(A rho B) = kron(A, B.T) vec(rho)."""
+    """(no-jump dissipator with counter row, its recycling terms,
+    Hamiltonian of the drive per unit amplitude, electron numbers) of the
+    vectorised Lindblad equation, row-major: vec(A rho B) = kron(A, B.T)
+    vec(rho). The full dissipator is the sum of the first two."""
     d = len(sys.levels)
     electron = np.array([e for e, _ in sys.levels], dtype=float)
     sx_product = np.kron([[0.0, 0.5], [0.5, 0.0]], np.eye(d // 2))
@@ -65,7 +72,8 @@ def _generators(sys):
     flips = np.equal.outer(electron, 1.0 - electron)
     drive = np.where(flips, sx, 0.0)
     eye = np.eye(d)
-    dissipator = np.zeros((d * d + 1, d * d + 1), dtype=complex)
+    no_jump = np.zeros((d * d + 1, d * d + 1), dtype=complex)
+    recycle = np.zeros_like(no_jump)
     loss = np.zeros((d, d))
     for upper, channels in enumerate(sys.channels):
         for ch in channels:
@@ -73,11 +81,11 @@ def _generators(sys):
             jump[ch.transition.lower, upper] = math.sqrt(ch.rate)
             lj = jump.T @ jump
             loss += lj
-            dissipator[:d * d, :d * d] += (np.kron(jump, jump)
-                                           - 0.5 * np.kron(lj, eye)
-                                           - 0.5 * np.kron(eye, lj.T))
-    dissipator[d * d, :d * d] = loss.T.reshape(-1)   # d(count)/dt = Tr(L rho)
-    return dissipator, drive, electron
+            recycle[:d * d, :d * d] += np.kron(jump, jump)
+            no_jump[:d * d, :d * d] -= 0.5 * (np.kron(lj, eye)
+                                              + np.kron(eye, lj.T))
+    no_jump[d * d, :d * d] = loss.T.reshape(-1)   # d(count)/dt = Tr(L rho)
+    return no_jump, recycle, drive, electron
 
 
 def _frame(sys, carrier, electron):
@@ -95,32 +103,38 @@ def _liouvillian(h, dissipator):
 
 
 def oracle(sys, schedule, level):
-    """Populations after each segment and expected jumps in each segment,
-    from the master equation on the engine's step grid."""
+    """From the master equation on the engine's step grid: the populations
+    after each segment, the expected jumps in each segment, and the
+    probability that the first jump falls in each step of the schedule's
+    concatenated grids, followed by the probability that none falls."""
     d = len(sys.levels)
-    dissipator, drive, electron = _generators(sys)
+    no_jump, recycle, drive, electron = _generators(sys)
     rho = np.zeros(d * d + 1, dtype=complex)
     rho[level * d + level] = 1.0
-    pops, jumps = [], []
+    clean = rho.copy()          # the no-jump part: no jump so far
+    pops, jumps, first = [], [], []
     for seg in schedule:
         n, dt = dyn._time_steps(seg, sys)
         counted = rho[-1].real
         # a frame of 0 freezes the engine's phase; any frame serves the
         # populations, and one near the spin keeps the exponent small
         h0 = _frame(sys, seg.frequency or sys.params.omega_s, electron)
-        if seg.driven:
-            amp = _drive_amplitude(seg, sys)
-            maps = {}
-            for env in dyn._envelope_samples(seg, n, dt):
-                if env not in maps:
-                    maps[env] = expm(_liouvillian(h0 + amp * env * drive,
-                                                  dissipator) * dt)
-                rho = maps[env] @ rho
-        else:
-            rho = expm(_liouvillian(h0, dissipator) * seg.wall_time) @ rho
+        amp = _drive_amplitude(seg, sys) if seg.driven else 0.0
+        envs = dyn._envelope_samples(seg, n, dt) if seg.driven else (0.0,) * n
+        maps = {}
+        for env in envs:
+            if env not in maps:
+                h = h0 + amp * env * drive
+                maps[env] = (expm(_liouvillian(h, no_jump + recycle) * dt),
+                             expm(_liouvillian(h, no_jump) * dt))
+            full, kept = maps[env]
+            left = clean[-1].real
+            rho, clean = full @ rho, kept @ clean
+            first.append(clean[-1].real - left)
         pops.append(rho[:d * d].reshape(d, d).diagonal().real.copy())
         jumps.append(rho[-1].real - counted)
-    return np.array(pops), np.array(jumps)
+    first.append(clean[:d * d].reshape(d, d).trace().real)
+    return np.array(pops), np.array(jumps), np.array(first)
 
 
 def engine(sys, schedule, level, seed, shots=SHOTS):
@@ -173,54 +187,85 @@ CASES = {
     "pi_fast": (FAST, [_pi(FAST), detect(50e-6)], _allowed_d(FAST).lower, 65),
 }
 
-_RUNS = {}
+def _first_jump_steps(sys, schedule, events):
+    """Per shot: the step of its first jump on the schedule's concatenated
+    step grids, or the number of steps when it has none."""
+    grids = [dyn._time_steps(seg, sys) for seg in schedule]
+    starts = np.cumsum([0.0] + [seg.wall_time for seg in schedule])
+    offsets = np.cumsum([0] + [n for n, _ in grids])
+    steps = []
+    for per_seg in events:
+        k = next((k for k, seg_events in enumerate(per_seg) if seg_events),
+                 None)
+        steps.append(offsets[-1] if k is None else offsets[k] + int(
+            (per_seg[k][0].time - starts[k]) // grids[k][1]))
+    return steps
 
 
-def engine_run(name):
-    """The engine's shots of a case, run once per session."""
-    if name not in _RUNS:
-        sys, schedule, level, seed = CASES[name]
-        _RUNS[name] = engine(sys, schedule, level, seed)
-    return _RUNS[name]
+def _goodness_of_fit(observed, expected):
+    """Chi-squared p-value of counts against their expectations, on runs
+    of adjacent bins merged until each run expects at least 10; a short
+    last run joins the one before it."""
+    runs, acc = [], np.zeros(2)
+    for pair in zip(observed, expected):
+        acc = acc + pair
+        if acc[1] >= 10.0:
+            runs.append(acc)
+            acc = np.zeros(2)
+    runs[-1] = runs[-1] + acc
+    got, want = np.array(runs).T
+    return stats.chisquare(got, want).pvalue
 
 
 def _assert_agree(sys, schedule, level, pops, events):
-    """Every level population after every segment, and the mean jump
-    count of every detection window, within 4 sigma of the oracle. Sigma
-    is the engine's standard error plus one shot in SHOTS, so a level
-    that no shot reached is compared with 1/SHOTS."""
-    want_pops, want_jumps = oracle(sys, schedule, level)
+    """Against the oracle: every level population after every segment,
+    and the mean jump count of every segment, within 4 sigma, where sigma
+    is the engine's standard error plus one shot in SHOTS, so a level that
+    no shot reached is compared with 1/SHOTS; and the first jump's step,
+    no jump counting as one more step, by a chi-squared test at
+    p > 1e-3."""
+    want_pops, want_jumps, want_first = oracle(sys, schedule, level)
     shots = pops.shape[0]
     sigma = pops.std(axis=0) / math.sqrt(shots) + 1.0 / shots
     gap = np.abs(pops.mean(axis=0) - want_pops)
     assert np.all(gap < 4.0 * sigma), (gap / sigma).max()
-    for k, seg in enumerate(schedule):
-        if seg.kind != "detect_window":
-            continue
-        counts = np.array([len(shot[k]) for shot in events], dtype=float)
-        sigma = counts.std() / math.sqrt(shots) + 1.0 / shots
-        assert abs(counts.mean() - want_jumps[k]) < 4.0 * sigma, (
-            counts.mean(), want_jumps[k], sigma)
+    counts = np.array([[len(seg_events) for seg_events in per_seg]
+                       for per_seg in events], dtype=float)
+    sigma = counts.std(axis=0) / math.sqrt(shots) + 1.0 / shots
+    gap = np.abs(counts.mean(axis=0) - want_jumps)
+    assert np.all(gap < 4.0 * sigma), (gap / sigma).max()
+    observed = np.bincount(_first_jump_steps(sys, schedule, events),
+                           minlength=want_first.size)
+    p = _goodness_of_fit(observed, shots * want_first)
+    assert p > 1e-3, p
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_engine_matches_the_master_equation(name):
-    sys, schedule, level, _ = CASES[name]
-    pops, events = engine_run(name)
+    sys, schedule, level, seed = CASES[name]
+    pops, events = engine(sys, schedule, level, seed)
     _assert_agree(sys, schedule, level, pops, events)
 
 
 def test_oracle_conserves_the_trace_and_counts_every_decay():
     """Without a drive, a level that starts excited decays; the expected
-    jump count over 10 lifetimes is the population that left it, and the
-    trace stays 1."""
+    jump count over 10 lifetimes is the population that left it, the
+    trace stays 1, and the first jump follows the waiting-time law
+    exp(-Gamma t_{k-1}) - exp(-Gamma t_k) on the step grid, with no jump
+    left at exp(-Gamma t_n)."""
     sys = SLOW
     upper = _allowed_d(sys).upper
     life = 1.0 / sys.total_rate(upper)
-    pops, jumps = oracle(sys, [wait(10 * life)], upper)
+    seg = wait(10 * life)
+    pops, jumps, first = oracle(sys, [seg], upper)
     assert pops[0].sum() == pytest.approx(1.0, abs=1e-12)
     assert pops[0][upper] == pytest.approx(math.exp(-10.0), rel=1e-9)
     assert jumps[0] == pytest.approx(1.0 - math.exp(-10.0), rel=1e-9)
+    n, dt = dyn._time_steps(seg, sys)
+    survival = np.exp(-dt * np.arange(n + 1) / life)
+    assert first.sum() == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(
+        first, np.append(-np.diff(survival), survival[-1]), rtol=0, atol=1e-9)
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -285,6 +285,22 @@ def test_sweep_requires_averages(system, detector):
                            center=system.params.omega_s, n_averages=0)
 
 
+@pytest.mark.parametrize("protocol, kwargs", [
+    (rabi_experiment, dict(transition="allowed_d", amplitude=TWO_PI * 10e3,
+                           durations=[10e-6], n_averages=0)),
+    (ramsey_experiment, dict(transition="allowed_d", delays=[10e-6],
+                             n_averages=0)),
+    (echo_experiment, dict(transition="allowed_d", delays=[10e-6],
+                           n_averages=0)),
+    (eldor_scan, dict(deltas_hz=[0.0], amplitude=TWO_PI * 10e3,
+                      duration=60e-6, n_shots=0)),
+], ids=["rabi", "ramsey", "echo", "eldor"])
+def test_protocols_require_shots(system, detector, protocol, kwargs):
+    """A protocol with no shot has no mean to report."""
+    with pytest.raises(ValueError, match="at least one"):
+        protocol(system, detector, 7, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # compiled schedules: skip rule, random streams, names the benchmark traces
 
